@@ -7,6 +7,7 @@
  * Usage: noise_models [--qubits=3] [--strength=0.2]
  */
 #include <cstdio>
+#include <exception>
 #include <string>
 #include <vector>
 
@@ -19,7 +20,7 @@ using namespace qkc;
 
 int
 main(int argc, char** argv)
-{
+try {
     Cli cli(argc, argv);
     std::size_t n = static_cast<std::size_t>(cli.getInt("qubits", 3));
     double strength = cli.getDouble("strength", 0.2);
@@ -77,4 +78,7 @@ main(int argc, char** argv)
                 "'kc_vs_dm' is the max deviation between the two exact "
                 "simulators (should be ~1e-16).\n");
     return 0;
+} catch (const std::exception& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 1;
 }

@@ -35,6 +35,7 @@
  *       --backend=kc:burnin=128
  */
 #include <cstdio>
+#include <exception>
 #include <fstream>
 #include <iostream>
 #include <map>
@@ -89,7 +90,7 @@ parseOutcome(const std::string& bits, std::size_t numQubits)
 
 int
 main(int argc, char** argv)
-{
+try {
     Cli cli(argc, argv);
 
     if (cli.has("list-backends")) {
@@ -253,5 +254,8 @@ main(int argc, char** argv)
     }
 
     std::fprintf(stderr, "unknown --mode=%s\n", mode.c_str());
+    return 1;
+} catch (const std::exception& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
     return 1;
 }

@@ -29,6 +29,7 @@
  */
 #include <csignal>
 #include <cstdio>
+#include <exception>
 #include <thread>
 
 #include "server/http_server.h"
@@ -48,7 +49,7 @@ onSignal(int)
 
 int
 main(int argc, char** argv)
-{
+try {
     using namespace qkc;
     Cli cli(argc, argv);
 
@@ -81,4 +82,7 @@ main(int argc, char** argv)
     http.stop();
     std::printf("qkc_serverd drained, exiting\n");
     return 0;
+} catch (const std::exception& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 1;
 }

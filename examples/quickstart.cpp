@@ -7,6 +7,7 @@
  *   ./build/examples/quickstart
  */
 #include <cstdio>
+#include <exception>
 
 #include "ac/kc_simulator.h"
 #include "algorithms/algorithms.h"
@@ -18,7 +19,7 @@ using namespace qkc;
 
 int
 main()
-{
+try {
     // 1. Build a circuit with the fluent API: a 3-qubit GHZ state with a
     //    phase damping channel on the middle qubit.
     Circuit circuit(3);
@@ -59,4 +60,7 @@ main()
     std::printf("\nnoisy Bell: A(|11>, rv=0) = %.4f (expect 0.8/sqrt(2))\n",
                 bell.amplitude(0b11, {0}).real());
     return 0;
+} catch (const std::exception& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 1;
 }

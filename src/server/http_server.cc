@@ -141,19 +141,39 @@ HttpServer::stop()
         acceptThread_.join();
     ::close(listenFd_);
 
-    std::vector<std::thread> workers;
+    std::map<std::uint64_t, std::thread> workers;
     {
         std::lock_guard<std::mutex> lock(mu_);
         workers.swap(workers_);
     }
-    for (std::thread& t : workers)
+    for (auto& [id, t] : workers)
         if (t.joinable())
             t.join();
 }
 
 void
+HttpServer::reapFinished()
+{
+    std::vector<std::thread> done;
+    {
+        std::lock_guard<std::mutex> lock(mu_);
+        for (std::uint64_t id : finished_) {
+            auto it = workers_.find(id);
+            done.push_back(std::move(it->second));
+            workers_.erase(it);
+        }
+        finished_.clear();
+    }
+    // Each of these has already returned from serveConnection, so the
+    // joins only wait for the thread to unwind.
+    for (std::thread& t : done)
+        t.join();
+}
+
+void
 HttpServer::acceptLoop()
 {
+    std::uint64_t nextConnection = 0;
     while (!stopping_.load()) {
         const int fd = ::accept(listenFd_, nullptr, nullptr);
         if (fd < 0) {
@@ -169,8 +189,14 @@ HttpServer::acceptLoop()
         const int one = 1;
         ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
 
+        reapFinished();
         std::lock_guard<std::mutex> lock(mu_);
-        workers_.emplace_back([this, fd] { serveConnection(fd); });
+        const std::uint64_t id = nextConnection++;
+        workers_.emplace(id, std::thread([this, fd, id] {
+                             serveConnection(fd);
+                             std::lock_guard<std::mutex> done(mu_);
+                             finished_.push_back(id);
+                         }));
     }
 }
 

@@ -3,6 +3,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <map>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -58,6 +59,8 @@ class HttpServer {
   private:
     void acceptLoop();
     void serveConnection(int fd);
+    /** Joins the connection threads that have finished serving. */
+    void reapFinished();
 
     ServerCore& core_;
     int listenFd_ = -1;
@@ -65,8 +68,14 @@ class HttpServer {
     std::atomic<bool> stopping_{false};
     std::thread acceptThread_;
 
-    std::mutex mu_; ///< guards workers_
-    std::vector<std::thread> workers_;
+    /**
+     * Connection threads by connection number. A thread appends its number
+     * to `finished_` as its last act; the accept loop joins those before
+     * starting the next connection, so only live connections hold a stack.
+     */
+    std::mutex mu_; ///< guards workers_ and finished_
+    std::map<std::uint64_t, std::thread> workers_;
+    std::vector<std::uint64_t> finished_;
 };
 
 } // namespace server

@@ -392,7 +392,7 @@ backendRegistry()
     static const std::vector<BackendInfo> registry = {
         {"statevector",
          {"sv"},
-         {"threads", "fuse", "simd", "path", "obs"},
+         {"threads", "fuse", "simd", "obs"},
          "dense 2^n state vector (qsim-style); Kraus trajectories when "
          "noise is present",
          "sample; expectation (exact when ideal, sampled under noise); "
@@ -401,7 +401,7 @@ backendRegistry()
          "ExecutionPlan and rebinds it per binding"},
         {"densitymatrix",
          {"dm"},
-         {"threads", "fuse", "simd", "path", "obs"},
+         {"threads", "fuse", "simd", "obs"},
          "dense 4^n density matrix (Cirq-style); every channel exact",
          "sample; expectation (exact, ideal and noisy); probabilities "
          "(exact, ideal and noisy)",
@@ -417,7 +417,7 @@ backendRegistry()
          "during sampling and do not clone cheaply"},
         {"decisiondiagram",
          {"dd"},
-         {"threads", "gc", "gcthreshold", "path", "obs"},
+         {"threads", "gc", "gcthreshold", "obs"},
          "QMDD decision diagram (DDSIM-style); Kraus trajectories when "
          "noise is present; ref-counted mark-and-sweep node GC",
          "sample; expectation (exact when ideal, via diagram walk); "
@@ -545,20 +545,6 @@ parseBackendSpec(const std::string& spec)
             std::find(info->optionKeys.begin(), info->optionKeys.end(),
                       key) != info->optionKeys.end();
         if (!accepted) {
-            // The backends that lack the path option lack it for structural
-            // reasons worth spelling out, not because of a registry gap.
-            if (key == "path" && info->name == "tensornetwork")
-                throw std::invalid_argument(
-                    "makeBackend: backend tensornetwork derives its own "
-                    "contraction order from the network; the path option "
-                    "applies to statevector, densitymatrix and "
-                    "decisiondiagram");
-            if (key == "path" && info->name == "knowledgecompilation")
-                throw std::invalid_argument(
-                    "makeBackend: backend knowledgecompilation compiles the "
-                    "circuit to an arithmetic circuit and has no simulation "
-                    "path; the path option applies to statevector, "
-                    "densitymatrix and decisiondiagram");
             std::string known;
             for (const std::string& k : info->optionKeys)
                 known += (known.empty() ? "" : ", ") + k;
@@ -578,18 +564,6 @@ parseBackendSpec(const std::string& spec)
                     "makeBackend: option simd must be auto, off, avx2 or "
                     "avx512, got \"" + value + "\"");
             result.options.simd = mode;
-            continue;
-        }
-        // path takes a planner name (with an optional bracket width glued
-        // on), not an integer — dispatch before the integer parse, like
-        // simd above.
-        if (key == "path") {
-            PathOptions path;
-            if (!parsePathPlanner(value, &path))
-                throw std::invalid_argument(
-                    "makeBackend: option path must be auto, linear, "
-                    "pairwise or bracketN (N >= 2), got \"" + value + "\"");
-            result.options.path = path;
             continue;
         }
         const long v = parseIntOption(key, value);

@@ -10,7 +10,6 @@
 
 #include "circuit/circuit.h"
 #include "circuit/fusion.h"
-#include "circuit/simulation_path.h"
 #include "exec/simd.h"
 #include "linalg/types.h"
 #include "obs/trace.h"
@@ -70,18 +69,6 @@ struct BackendOptions {
 
     /** Live-node count that triggers a collection, >= 1 (dd). */
     std::size_t gcThreshold = 1u << 16;
-
-    /**
-     * Simulation-path planner (sv/dm/dd): how the circuit is lowered to a
-     * contraction tree before execution. "auto" (the default) resolves to
-     * linear — today's one-MxV-per-operation behavior. "pairwise" and
-     * "bracketN" group channel-free gate runs into MxM subtrees: the dense
-     * backends materialize them as parallel fusion tree tasks at plan
-     * time, the dd backend fuses each subtree into one matrix DD via
-     * multiplyMM. tn derives its own contraction order and kc has no
-     * simulation path; both reject the option at parse time.
-     */
-    PathOptions path{};
 
     /**
      * Per-task observability (all backends): phase spans around the
@@ -237,22 +224,6 @@ struct BatchStats {
     double imbalance = 0.0;         ///< lane imbalance ratio (>= 1.0)
 };
 
-/**
- * Simulation-path execution stats for one task (sv/dm/dd sessions; default
- * values elsewhere). `planner` is the resolved planner name ("linear" when
- * the option was auto/linear); nodes/mmNodes describe the planned tree;
- * mmProducts counts operator-operator products the last plan or rebind
- * evaluated; cachedSubtrees counts frozen subtrees served from cache by the
- * last rebind instead of being re-materialized.
- */
-struct PathMeta {
-    std::string planner = "linear";
-    std::size_t nodes = 0;
-    std::size_t mmNodes = 0;
-    std::size_t mmProducts = 0;
-    std::size_t cachedSubtrees = 0;
-};
-
 /** Execution metadata carried by every Result. */
 struct ResultMeta {
     std::string backend;        ///< canonical backend name
@@ -285,9 +256,6 @@ struct ResultMeta {
 
     /** Diagram memory-lifecycle stats (dd sessions; else zeros). */
     DdMemoryStats ddMemory{};
-
-    /** Simulation-path stats (sv/dm/dd sessions; else defaults). */
-    PathMeta path{};
 
     /** Batch aggregates when the result came from runBatch (else zeros). */
     BatchStats batch{};

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -197,6 +198,35 @@ TEST(HttpServerTest, ConcurrentClientsAllSucceed)
         t.join();
     for (std::size_t c = 0; c < kClients; ++c)
         EXPECT_EQ(statuses[c], 200) << "client " << c;
+}
+
+/** This process's VmSize in MB, from /proc/self/status (0 if unreadable). */
+double
+vmSizeMb()
+{
+    std::ifstream status("/proc/self/status");
+    std::string line;
+    while (std::getline(status, line))
+        if (line.rfind("VmSize:", 0) == 0)
+            return std::stod(line.substr(7)) / 1024.0;
+    return 0.0;
+}
+
+TEST(HttpServerTest, FinishedConnectionsDoNotPinTheirThreads)
+{
+    // Every connection gets its own thread (about 8 MB of stack address
+    // space); a long-lived server must release a thread once its connection
+    // closes, not hold all of them until stop().
+    ServerCore core;
+    HttpServer http(core, 0);
+    ASSERT_EQ(httpGet("127.0.0.1", http.port(), "/v1/healthz").status, 200);
+    const double before = vmSizeMb();
+    ASSERT_GT(before, 0.0);
+    for (int i = 0; i < 300; ++i)
+        ASSERT_EQ(httpGet("127.0.0.1", http.port(), "/v1/healthz").status,
+                  200)
+            << "request " << i;
+    EXPECT_LT(vmSizeMb() - before, 256.0);
 }
 
 TEST(HttpServerTest, StopIsIdempotentAndJoinsCleanly)

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <stdexcept>
+#include <string>
+
 #include "circuit/circuit.h"
 #include "circuit/noise.h"
 #include "util/rng.h"
@@ -59,6 +63,33 @@ TEST(BackendOptionsTest, UnknownOptionsThrow)
     EXPECT_THROW(makeBackend("dd:bogus=2"), std::invalid_argument);
     // threads became a dd knob when trajectory lanes landed.
     EXPECT_EQ(makeBackend("dd:threads=2")->name(), "decisiondiagram");
+}
+
+TEST(BackendOptionsTest, PathIsAnUnknownOptionEverywhere)
+{
+    // No backend takes a path= planner: every spec that names one, e.g.
+    // sv:path=linear, fails with the same unknown-option error as any other
+    // stray key.
+    for (const BackendInfo& info : backendRegistry()) {
+        EXPECT_EQ(std::find(info.optionKeys.begin(), info.optionKeys.end(),
+                            "path"),
+                  info.optionKeys.end())
+            << info.name;
+        const std::string spec =
+            (info.aliases.empty() ? info.name : info.aliases.front()) +
+            ":path=linear";
+        try {
+            parseBackendSpec(spec);
+            ADD_FAILURE() << spec << " parsed";
+        } catch (const std::invalid_argument& e) {
+            EXPECT_EQ(std::string(e.what()).rfind(
+                          "makeBackend: unknown option \"path\" for backend " +
+                              info.name,
+                          0),
+                      0u)
+                << e.what();
+        }
+    }
 }
 
 TEST(BackendOptionsTest, MalformedOptionsThrow)

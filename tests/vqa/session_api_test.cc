@@ -54,13 +54,9 @@ TEST(BackendSpecTest, RegistryCoversEveryBackend)
         // Aliases resolve to the canonical name.
         for (const std::string& alias : info.aliases)
             EXPECT_EQ(parseBackendSpec(alias).name, info.name);
-        // Every advertised option key parses (path takes a planner name,
-        // the rest accept an integer form).
-        for (const std::string& key : info.optionKeys) {
-            const std::string value = key == "path" ? "pairwise" : "1";
-            EXPECT_NO_THROW(
-                parseBackendSpec(info.name + ":" + key + "=" + value));
-        }
+        // Every advertised option key parses.
+        for (const std::string& key : info.optionKeys)
+            EXPECT_NO_THROW(parseBackendSpec(info.name + ":" + key + "=1"));
     }
 }
 
