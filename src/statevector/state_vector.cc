@@ -1,5 +1,6 @@
 #include "statevector/state_vector.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 #include <stdexcept>
@@ -21,6 +22,13 @@ checkedDimension(std::size_t numQubits)
 StateVector::StateVector(std::size_t numQubits)
     : numQubits_(numQubits), amps_(checkedDimension(numQubits))
 {
+    amps_[0] = 1.0;
+}
+
+void
+StateVector::resetToZero()
+{
+    std::fill(amps_.begin(), amps_.end(), Complex{0.0, 0.0});
     amps_[0] = 1.0;
 }
 
@@ -85,49 +93,23 @@ StateVector::normalize()
     });
 }
 
-Complex
-innerProduct(const StateVector& a, const StateVector& b)
-{
-    if (a.dimension() != b.dimension())
-        throw std::invalid_argument("innerProduct: dimension mismatch");
-    const Complex* pa = a.data();
-    const Complex* pb = b.data();
-    const ExecPolicy& policy = a.execPolicy();
-    const std::uint64_t n = a.dimension();
-
-    // One pass for both components (the sum is memory-bandwidth-bound):
-    // per-chunk {re, im} partials combined in chunk order, so the result
-    // is bit-identical for every thread count, exactly like parallelSum.
-    const std::uint64_t grain = policy.grain > 0 ? policy.grain : 1;
-    const std::uint64_t numChunks = n == 0 ? 0 : (n + grain - 1) / grain;
-    std::vector<Complex> partials(numChunks, Complex{0.0, 0.0});
-    parallelForChunks(policy, n,
-                      [&](std::size_t chunk, std::uint64_t s,
-                          std::uint64_t e) {
-        double re = 0.0;
-        double im = 0.0;
-        for (std::uint64_t i = s; i < e; ++i) {
-            re += pa[i].real() * pb[i].real() + pa[i].imag() * pb[i].imag();
-            im += pa[i].real() * pb[i].imag() - pa[i].imag() * pb[i].real();
-        }
-        partials[chunk] = Complex{re, im};
-    });
-    Complex total{0.0, 0.0};
-    for (const Complex& p : partials)
-        total += p;
-    return total;
-}
-
 std::vector<double>
 StateVector::probabilities() const
 {
-    std::vector<double> probs(amps_.size());
+    std::vector<double> probs;
+    probabilities(probs);
+    return probs;
+}
+
+void
+StateVector::probabilities(std::vector<double>& probs) const
+{
+    probs.resize(amps_.size());
     parallelFor(policy_, amps_.size(),
                 [this, &probs](std::uint64_t b, std::uint64_t e) {
         for (std::uint64_t i = b; i < e; ++i)
             probs[i] = norm2(amps_[i]);
     });
-    return probs;
 }
 
 } // namespace qkc

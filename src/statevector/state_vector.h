@@ -34,6 +34,9 @@ class StateVector {
     /** Initializes |00...0>. */
     explicit StateVector(std::size_t numQubits);
 
+    /** Resets to |00...0> in place, keeping the buffer. */
+    void resetToZero();
+
     std::size_t numQubits() const { return numQubits_; }
     std::size_t dimension() const { return amps_.size(); }
 
@@ -84,19 +87,14 @@ class StateVector {
     /** Probability of each basis outcome (|amp|^2). */
     std::vector<double> probabilities() const;
 
+    /** The same into `probs`, resized to dimension() (reuses its buffer). */
+    void probabilities(std::vector<double>& probs) const;
+
   private:
     std::size_t numQubits_;
     AmpVector amps_;
     ExecPolicy policy_;
 };
-
-/**
- * <a|b> = sum_i conj(a_i) b_i, computed with the deterministic chunk-ordered
- * reduction (a's ExecPolicy), so the result is bit-identical for every
- * thread count. This is the primitive behind native <psi|P|psi> expectation
- * values in the state-vector backend session.
- */
-Complex innerProduct(const StateVector& a, const StateVector& b);
 
 } // namespace qkc
 

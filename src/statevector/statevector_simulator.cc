@@ -22,16 +22,28 @@ StateVector
 StateVectorSimulator::simulatePlanned(const ExecutionPlan& plan) const
 {
     StateVector sv(plan.numQubits);
-    sv.setExecPolicy(policy_);
+    simulatePlanned(plan, sv);
+    return sv;
+}
+
+void
+StateVectorSimulator::simulatePlanned(const ExecutionPlan& plan,
+                                      StateVector& state) const
+{
+    if (state.numQubits() != plan.numQubits)
+        throw std::invalid_argument(
+            "StateVectorSimulator::simulatePlanned: state width differs "
+            "from the plan");
+    state.resetToZero();
+    state.setExecPolicy(policy_);
     for (const auto& op : plan.ops) {
         if (op.isChannel) {
             throw std::invalid_argument(
                 "StateVectorSimulator::simulatePlanned: plan has channels; "
                 "use sampleNoisyPlanned");
         }
-        sv.apply(op.gate);
+        state.apply(op.gate);
     }
-    return sv;
 }
 
 StateVector

@@ -48,6 +48,9 @@ class StateVectorSimulator {
      */
     StateVector simulatePlanned(const ExecutionPlan& plan) const;
 
+    /** The same run into an existing state of the plan's width (no alloc). */
+    void simulatePlanned(const ExecutionPlan& plan, StateVector& state) const;
+
     /**
      * Runs one noisy trajectory: gates apply exactly; every channel chooses
      * a Kraus operator k with probability ||E_k psi||^2, applies it, and

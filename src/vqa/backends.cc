@@ -31,59 +31,6 @@ execPolicyFrom(const BackendOptions& options)
     return policy;
 }
 
-const Matrix&
-pauliMatrix(char p)
-{
-    static const Matrix x = Gate(GateKind::X, {0}).unitary();
-    static const Matrix y = Gate(GateKind::Y, {0}).unitary();
-    static const Matrix z = Gate(GateKind::Z, {0}).unitary();
-    switch (p) {
-      case 'X':
-        return x;
-      case 'Y':
-        return y;
-      default:
-        return z;
-    }
-}
-
-/** Bits flipped by the string's X/Y factors (qubit 0 = MSB of the index). */
-std::uint64_t
-pauliFlipMask(const PauliString& pauli, std::size_t n)
-{
-    std::uint64_t flip = 0;
-    for (std::size_t q = 0; q < n; ++q)
-        if (pauli.pauli(q) == 'X' || pauli.pauli(q) == 'Y')
-            flip |= std::uint64_t{1} << (n - 1 - q);
-    return flip;
-}
-
-/**
- * f(y) in P|y> = f(y) |y ^ flipMask>: the accumulated Z sign and Y phase.
- * Equivalently the matrix entry P(y ^ flipMask, y) — the form both the
- * density-matrix trace and the amplitude-vector expectation consume.
- */
-Complex
-pauliPhase(const PauliString& pauli, std::size_t n, std::uint64_t y)
-{
-    Complex f{1.0, 0.0};
-    for (std::size_t q = 0; q < n; ++q) {
-        const bool yq = (y >> (n - 1 - q)) & 1u;
-        switch (pauli.pauli(q)) {
-          case 'Z':
-            if (yq)
-                f = -f;
-            break;
-          case 'Y':
-            f *= yq ? Complex{0.0, -1.0} : Complex{0.0, 1.0};
-            break;
-          default:
-            break; // I and X contribute a factor of 1
-        }
-    }
-    return f;
-}
-
 // ---------------------------------------------------------------------------
 // State vector
 // ---------------------------------------------------------------------------
@@ -119,12 +66,13 @@ class SvSession final : public Session {
         // Keep the plan (cheap, and the point of the lane); drop the 2^n
         // state and probability table the last binding left behind.
         state_.reset();
-        probs_.reset();
+        probs_ = std::vector<double>(); // frees, unlike clear()
+        stateFresh_ = probsFresh_ = false;
     }
     bool doBind(const Circuit& circuit, bool sameStructure) override
     {
-        state_.reset();
-        probs_.reset();
+        // Keep the buffers: the next task refills them in place.
+        stateFresh_ = probsFresh_ = false;
         if (sameStructure && tryRebindPlan(plan_, circuit))
             return true;
         plan_ = planCircuit(circuit, policy_);
@@ -143,41 +91,31 @@ class SvSession final : public Session {
         ensureProbs();
         meta.exact = true;
         QKC_SPAN("sv.sample");
-        return StateVectorSimulator::sampleFromDistribution(*probs_, shots,
+        return StateVectorSimulator::sampleFromDistribution(probs_, shots,
                                                             rng);
     }
 
     double doExpectation(const PauliSum& observable, std::size_t shots,
                          Rng& rng, ResultMeta& meta) override
     {
-        meta.fusion = plan_.fusion;
-        if (circuit_.noiseCount() > 0)
-            return sampledExpectation(observable, shots, rng, meta);
+        meta.fusion = plan_.fusion; // the sampled fallback reports it too
+        return Session::doExpectation(observable, shots, rng, meta);
+    }
 
-        // Native <psi|P|psi>, no sampling error: diagonal terms read the
-        // cached |amp|^2 vector directly; the rest pay one kernel sweep per
-        // non-identity Pauli plus a deterministic inner product.
+    bool exactTerm(const PauliString&) const override
+    {
+        return circuit_.noiseCount() == 0;
+    }
+
+    const char* prepareExpectation(ResultMeta&) override
+    {
         ensureState();
-        meta.exact = true;
-        QKC_SPAN("sv.expectation");
-        double total = 0.0;
-        for (const auto& [coeff, pauli] : observable.terms) {
-            if (pauli.isIdentity()) {
-                total += coeff;
-                continue;
-            }
-            if (pauli.isDiagonal()) {
-                ensureProbs();
-                total += coeff * pauli.expectationFromDistribution(*probs_);
-                continue;
-            }
-            StateVector phi = *state_;
-            for (std::size_t q = 0; q < pauli.numQubits(); ++q)
-                if (pauli.pauli(q) != 'I')
-                    phi.applySingleQubit(pauliMatrix(pauli.pauli(q)), q);
-            total += coeff * innerProduct(*state_, phi).real();
-        }
-        return total;
+        return "sv.expectation";
+    }
+
+    double termExpectation(const PauliString& pauli) override
+    {
+        return pauli.expectation(state_->data(), state_->dimension());
     }
 
     std::vector<Complex> doAmplitudes(
@@ -211,7 +149,7 @@ class SvSession final : public Session {
                         "distributions");
         ensureProbs();
         meta.exact = true;
-        return marginalizeDistribution(*probs_, circuit_.numQubits(), qubits);
+        return marginalizeDistribution(probs_, circuit_.numQubits(), qubits);
     }
 
     std::unique_ptr<Session> openAdHoc(const Circuit& rotated) const override
@@ -230,28 +168,35 @@ class SvSession final : public Session {
 
     void ensureState()
     {
-        if (state_)
+        if (stateFresh_)
             return;
         QKC_SPAN("sv.simulate");
-        state_ = sim_.simulatePlanned(plan_);
+        if (state_)
+            sim_.simulatePlanned(plan_, *state_);
+        else
+            state_ = sim_.simulatePlanned(plan_);
+        stateFresh_ = true;
     }
 
     /** Lazy |amp|^2 vector: only tasks that consume it pay the sweep. */
     void ensureProbs()
     {
         ensureState();
-        if (probs_)
+        if (probsFresh_)
             return;
         QKC_SPAN("sv.probs");
-        probs_ = state_->probabilities();
+        state_->probabilities(probs_);
+        probsFresh_ = true;
     }
 
     BackendOptions options_;
     ExecPolicy policy_;
     StateVectorSimulator sim_;
     ExecutionPlan plan_;
-    std::optional<StateVector> state_;   ///< final ideal state (per bind)
-    std::optional<std::vector<double>> probs_;
+    std::optional<StateVector> state_; ///< final ideal state buffer
+    std::vector<double> probs_;        ///< |amp|^2 buffer
+    bool stateFresh_ = false; ///< state_ is the bound circuit's final state
+    bool probsFresh_ = false; ///< probs_ is state_'s |amp|^2
 };
 
 // ---------------------------------------------------------------------------
@@ -301,27 +246,25 @@ class DmSession final : public Session {
                                                             rng);
     }
 
-    double doExpectation(const PauliSum& observable, std::size_t shots,
-                         Rng& rng, ResultMeta& meta) override
+    // tr(rho P) is exact for every observable, channels included.
+    bool exactTerm(const PauliString&) const override { return true; }
+
+    const char* prepareExpectation(ResultMeta& meta) override
     {
-        (void)shots;
-        (void)rng;
-        // tr(rho P) is exact for every observable, channels included: for
-        // each row r the only column P can hit is r ^ flipmask, so one
-        // O(2^n * n) traversal per term reads the trace off rho directly.
         ensureRho();
-        meta.exact = true;
         meta.fusion = plan_.fusion;
-        QKC_SPAN("dm.trace");
-        double total = 0.0;
-        for (const auto& [coeff, pauli] : observable.terms) {
-            if (pauli.isIdentity()) {
-                total += coeff;
-                continue;
-            }
-            total += coeff * traceRhoPauli(pauli);
-        }
-        return total;
+        return "dm.trace";
+    }
+
+    double termExpectation(const PauliString& pauli) override
+    {
+        // Row r meets P only in column r ^ xMask, where P holds phase(r):
+        // one O(2^n) pass per term reads the trace off rho directly.
+        const std::uint64_t flip = pauli.xMask();
+        Complex total{0.0, 0.0};
+        for (std::uint64_t r = 0; r < rho_->dimension(); ++r)
+            total += rho_->at(r, r ^ flip) * pauli.phase(r);
+        return total.real();
     }
 
     std::vector<double> doProbabilities(const std::vector<std::size_t>& qubits,
@@ -347,17 +290,6 @@ class DmSession final : public Session {
         QKC_SPAN("dm.simulate");
         rho_ = sim_.simulatePlanned(plan_);
         probs_ = rho_->diagonalProbabilities();
-    }
-
-    double traceRhoPauli(const PauliString& pauli) const
-    {
-        const std::size_t n = circuit_.numQubits();
-        const std::uint64_t flip = pauliFlipMask(pauli, n);
-        Complex total{0.0, 0.0};
-        const std::uint64_t dim = rho_->dimension();
-        for (std::uint64_t r = 0; r < dim; ++r)
-            total += rho_->at(r, r ^ flip) * pauliPhase(pauli, n, r);
-        return total.real();
     }
 
     BackendOptions options_;
@@ -607,32 +539,30 @@ class DdSession final : public Session {
                          Rng& rng, ResultMeta& meta) override
     {
         markTaskStart();
-        if (circuit_.noiseCount() > 0) {
-            const double est = sampledExpectation(observable, shots, rng,
-                                                  meta);
-            stampDdMemory(meta);
-            return est;
-        }
+        const double e = Session::doExpectation(observable, shots, rng, meta);
+        stampDdMemory(meta);
+        return e;
+    }
 
+    bool exactTerm(const PauliString&) const override
+    {
+        return circuit_.noiseCount() == 0;
+    }
+
+    const char* prepareExpectation(ResultMeta&) override
+    {
+        ensureState();
+        return "dd.expectation";
+    }
+
+    double termExpectation(const PauliString& pauli) override
+    {
         // Native diagram walk: phi = P psi via ONE apply of the term's
         // n-qubit Pauli-string matrix DD (linear-size, cached across calls
-        // and binds), then the memoized two-diagram inner product
-        // <psi|phi>.
-        ensureState();
-        meta.exact = true;
-        QKC_SPAN("dd.expectation");
+        // and binds), then the memoized two-diagram inner product <psi|phi>.
         DdPackage& pkg = sim_.package();
-        double total = 0.0;
-        for (const auto& [coeff, pauli] : observable.terms) {
-            if (pauli.isIdentity()) {
-                total += coeff;
-                continue;
-            }
-            const VEdge phi = pkg.apply(termDd(pauli), state_);
-            total += coeff * pkg.innerProduct(state_, phi).real();
-        }
-        stampDdMemory(meta);
-        return total;
+        const VEdge phi = pkg.apply(termDd(pauli), state_);
+        return pkg.innerProduct(state_, phi).real();
     }
 
     std::vector<Complex> doAmplitudes(
@@ -806,9 +736,7 @@ class DdSession final : public Session {
      */
     const MEdge& termDd(const PauliString& pauli)
     {
-        std::string key(circuit_.numQubits(), 'I');
-        for (std::size_t q = 0; q < pauli.numQubits(); ++q)
-            key[q] = pauli.pauli(q);
+        const std::string& key = pauli.text();
         auto it = termDds_.find(key);
         if (it == termDds_.end()) {
             const MEdge dd = sim_.package().makePauliDd(key);
@@ -920,49 +848,27 @@ class KcSession final : public Session {
         return sim_->sample(shots, rng, gibbs_);
     }
 
-    double doExpectation(const PauliSum& observable, std::size_t shots,
-                         Rng& rng, ResultMeta& meta) override
+    bool exactTerm(const PauliString& pauli) const override
     {
         // AC queries serve diagonal terms from the exact outcome
         // distribution (noise included — probability() sums noise events)
         // and, on ideal circuits, arbitrary Paulis from the amplitude
-        // vector. When the query cost is infeasible (the noise-assignment
-        // enumeration is exponential in the channel count) or a term needs
-        // rotated bases under noise, the whole sum falls back to Gibbs
-        // shots so the metadata stays a truthful all-or-nothing flag.
-        const bool distOk = distributionFeasible();
-        const bool ampsOk =
-            circuit_.noiseCount() == 0 &&
-            circuit_.numQubits() <= kMaxExactQubits;
-        bool allExact = true;
-        for (const auto& [coeff, pauli] : observable.terms) {
-            (void)coeff;
-            if (pauli.isIdentity())
-                continue;
-            if (pauli.isDiagonal() ? !distOk : !ampsOk) {
-                allExact = false;
-                break;
-            }
-        }
-        if (!allExact)
-            return sampledExpectation(observable, shots, rng, meta);
+        // vector — both only while the query cost is feasible (the
+        // noise-assignment enumeration is exponential in the channel count).
+        if (pauli.isDiagonal())
+            return distributionFeasible();
+        return circuit_.noiseCount() == 0 &&
+               circuit_.numQubits() <= kMaxExactQubits;
+    }
 
-        meta.exact = true;
-        double total = 0.0;
-        for (const auto& [coeff, pauli] : observable.terms) {
-            if (pauli.isIdentity()) {
-                total += coeff;
-                continue;
-            }
-            if (pauli.isDiagonal()) {
-                ensureDistribution();
-                total += coeff * pauli.expectationFromDistribution(*dist_);
-                continue;
-            }
-            ensureAmplitudes();
-            total += coeff * pauliExpectationFromAmplitudes(pauli);
+    double termExpectation(const PauliString& pauli) override
+    {
+        if (pauli.isDiagonal()) {
+            ensureDistribution();
+            return pauli.expectationFromDistribution(*dist_);
         }
-        return total;
+        ensureAmplitudes();
+        return pauli.expectation(amps_->data(), amps_->size());
     }
 
     std::vector<Complex> doAmplitudes(
@@ -1052,20 +958,6 @@ class KcSession final : public Session {
         for (std::uint64_t x = 0; x < dim; ++x)
             amps.push_back(sim_->amplitude(x));
         amps_ = std::move(amps);
-    }
-
-    /** <psi|P|psi> = sum_x conj(psi_x) psi_{x^flip} f(x^flip). */
-    double pauliExpectationFromAmplitudes(const PauliString& pauli) const
-    {
-        const std::size_t n = circuit_.numQubits();
-        const std::uint64_t flip = pauliFlipMask(pauli, n);
-        Complex total{0.0, 0.0};
-        for (std::uint64_t x = 0; x < amps_->size(); ++x) {
-            const std::uint64_t y = x ^ flip;
-            total += std::conj((*amps_)[x]) * (*amps_)[y] *
-                     pauliPhase(pauli, n, y);
-        }
-        return total.real();
     }
 
     BackendOptions options_;

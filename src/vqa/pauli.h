@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "circuit/circuit.h"
+#include "linalg/types.h"
 
 namespace qkc {
 
@@ -19,20 +20,37 @@ namespace qkc {
  */
 class PauliString {
   public:
-    /** Parses "XZIY"-style text (characters I, X, Y, Z). */
+    /**
+     * Parses "XZIY"-style text (characters I, X, Y, Z), at most 63 of them
+     * — the circuit qubit cap, and what fits the 64-bit masks below.
+     */
     explicit PauliString(const std::string& text);
 
-    std::size_t numQubits() const { return paulis_.size(); }
+    std::size_t numQubits() const { return text_.size(); }
     const std::string& text() const { return text_; }
 
     /** The Pauli on `qubit` ('I', 'X', 'Y' or 'Z'). */
-    char pauli(std::size_t qubit) const { return paulis_[qubit]; }
+    char pauli(std::size_t qubit) const { return text_[qubit]; }
+
+    /**
+     * The compiled form, qubit 0 at the most significant bit: P|y> =
+     * phase(y) |y ^ xMask()>, where xMask holds the X/Y positions and
+     * zMask the Z/Y positions (the bits whose value flips the sign).
+     */
+    std::uint64_t xMask() const { return xMask_; }
+    std::uint64_t zMask() const { return zMask_; }
+
+    /** i^{#Y} (-1)^{popcount(y & zMask)}: the matrix entry P(y ^ xMask, y). */
+    Complex phase(std::uint64_t y) const
+    {
+        return parity(y & zMask_) ? -yPhase_ : yPhase_;
+    }
 
     /** True if the string is all I/Z (directly measurable). */
-    bool isDiagonal() const;
+    bool isDiagonal() const { return xMask_ == 0; }
 
     /** True if the string is all I (a constant observable). */
-    bool isIdentity() const;
+    bool isIdentity() const { return (xMask_ | zMask_) == 0; }
 
     /**
      * Returns `circuit` extended with the basis-change gates that map this
@@ -42,7 +60,10 @@ class PauliString {
     Circuit withMeasurementBasis(const Circuit& circuit) const;
 
     /** Eigenvalue (+1/-1) of a post-rotation measurement outcome. */
-    int eigenvalue(std::uint64_t outcome) const;
+    int eigenvalue(std::uint64_t outcome) const
+    {
+        return parity(outcome & (xMask_ | zMask_)) ? -1 : 1;
+    }
 
     /** Mean eigenvalue over post-rotation samples. */
     double expectationFromSamples(
@@ -55,9 +76,23 @@ class PauliString {
     double expectationFromDistribution(
         const std::vector<double>& distribution) const;
 
+    /**
+     * <psi|P|psi> over a full amplitude vector of `dim` = 2^numQubits()
+     * entries: sum_x conj(psi[x]) psi[x ^ xMask] phase(x ^ xMask), one
+     * sequential pass in index order.
+     */
+    double expectation(const Complex* amps, std::size_t dim) const;
+
   private:
+    static bool parity(std::uint64_t bits)
+    {
+        return __builtin_parityll(bits) != 0;
+    }
+
     std::string text_;
-    std::vector<char> paulis_;
+    std::uint64_t xMask_ = 0;
+    std::uint64_t zMask_ = 0;
+    Complex yPhase_{1.0, 0.0}; ///< i^{#Y}
 };
 
 /**
@@ -85,9 +120,6 @@ struct PauliSum {
     /** True if every term is all I/Z (computational-basis measurable). */
     bool isDiagonal() const;
 };
-
-/** Pre-redesign name of PauliSum, kept for source compatibility. */
-using PauliHamiltonian = PauliSum;
 
 } // namespace qkc
 

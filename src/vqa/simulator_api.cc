@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <exception>
 #include <map>
+#include <optional>
 #include <stdexcept>
 
 #include "exec/execution_plan.h"
@@ -256,7 +257,42 @@ double
 Session::doExpectation(const PauliSum& observable, std::size_t shots,
                        Rng& rng, ResultMeta& meta)
 {
-    return sampledExpectation(observable, shots, rng, meta);
+    bool constant = true;
+    for (const auto& [coeff, pauli] : observable.terms) {
+        (void)coeff;
+        if (pauli.isIdentity())
+            continue;
+        if (!exactTerm(pauli))
+            return sampledExpectation(observable, shots, rng, meta);
+        constant = false;
+    }
+    meta.exact = true;
+    std::optional<obs::Span> span;
+    const char* name = constant ? nullptr : prepareExpectation(meta);
+    if (name)
+        span.emplace(name);
+    double total = 0.0;
+    for (const auto& [coeff, pauli] : observable.terms)
+        total += pauli.isIdentity() ? coeff : coeff * termExpectation(pauli);
+    return total;
+}
+
+bool
+Session::exactTerm(const PauliString&) const
+{
+    return false;
+}
+
+const char*
+Session::prepareExpectation(ResultMeta&)
+{
+    return nullptr;
+}
+
+double
+Session::termExpectation(const PauliString&)
+{
+    unsupported("Expectation", "the backend has no exact term evaluator");
 }
 
 std::vector<Complex>
@@ -326,12 +362,7 @@ Session::rotatedSession(const PauliString& pauli)
     // Terms sharing the pattern share one sub-session, and parameter
     // rebinds of the base circuit flow through Session::bind — the cached
     // sub-plan is refreshed, never rebuilt.
-    std::string key(circuit_.numQubits(), 'I');
-    for (std::size_t q = 0; q < pauli.numQubits(); ++q) {
-        const char p = pauli.pauli(q);
-        if (p == 'X' || p == 'Y')
-            key[q] = p;
-    }
+    const std::pair key{pauli.xMask(), pauli.xMask() & pauli.zMask()};
     const Circuit rotated = pauli.withMeasurementBasis(circuit_);
     auto it = rotatedSessions_.find(key);
     if (it == rotatedSessions_.end())

@@ -5,6 +5,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <utility>
 #include <variant>
 #include <vector>
 
@@ -127,11 +128,14 @@ struct Sample {
 };
 
 /**
- * Evaluate <H> for a Pauli-sum observable. Served natively (exactly) where
- * the representation allows it — sv: <psi|P|psi> via the exec kernels,
- * dm: tr(rho P), dd: a diagram walk, kc: AC queries — and estimated from
- * `shots` rotated-basis samples per non-diagonal term otherwise (tn, and
- * noisy trajectory paths). Result::meta.exact records which happened.
+ * Evaluate <H> for a Pauli-sum observable. Each term is read through its
+ * compiled masks (PauliString::xMask/zMask/phase). When the backend can
+ * evaluate every non-identity term exactly, the sum is exact — sv and kc:
+ * one pass over the amplitude vector per term (kc serves diagonal terms
+ * from its outcome distribution), dm: tr(rho P), dd: a diagram walk.
+ * Otherwise the whole sum is estimated from `shots` samples (rotated-basis
+ * ones for non-diagonal terms): tn always, sv/dd under noise, kc beyond its
+ * query-feasibility limit. Result::meta.exact records which happened.
  */
 struct Expectation {
     PauliSum observable;
@@ -386,10 +390,28 @@ class Session {
     virtual std::vector<std::uint64_t> doSample(std::size_t shots, Rng& rng,
                                                 ResultMeta& meta) = 0;
 
-    /** Default: the rotated-basis sampling fallback (sampledExpectation). */
+    /**
+     * The one Expectation loop, all or nothing: if exactTerm rejects any
+     * non-identity term the whole sum goes to sampledExpectation; otherwise
+     * meta.exact is set and the sum of coeff * termExpectation is returned.
+     */
     virtual double doExpectation(const PauliSum& observable,
                                  std::size_t shots, Rng& rng,
                                  ResultMeta& meta);
+
+    /** Whether termExpectation serves `pauli` exactly. Default: no (tn). */
+    virtual bool exactTerm(const PauliString& pauli) const;
+
+    /**
+     * Materializes what termExpectation reads (outside any span, so the
+     * state build stays its own profile phase) and returns the span name
+     * for the term loop, or nullptr for none. Called only when some term
+     * is not the identity. Default: nothing, nullptr.
+     */
+    virtual const char* prepareExpectation(ResultMeta& meta);
+
+    /** Exact <P> for a non-identity term exactTerm accepted. */
+    virtual double termExpectation(const PauliString& pauli);
 
     /** Default: throws — the backend cannot serve amplitudes. */
     virtual std::vector<Complex> doAmplitudes(
@@ -470,10 +492,12 @@ class Session {
 
     /**
      * Rotated-basis fallback sub-sessions, keyed by rotation signature (the
-     * X/Y pattern of the term — Z and I need no basis change, so terms
-     * sharing the pattern share one sub-session and only rebind it).
+     * X/Y pattern of the term as {xMask, Y bits} — Z and I need no basis
+     * change, so terms sharing the pattern share one sub-session and only
+     * rebind it).
      */
-    std::map<std::string, std::unique_ptr<Session>> rotatedSessions_;
+    std::map<std::pair<std::uint64_t, std::uint64_t>, std::unique_ptr<Session>>
+        rotatedSessions_;
 
     /**
      * Worker-lane clones kept across runBatch calls, so backends whose

@@ -150,6 +150,13 @@ TEST(ServerCoreTest, BadRequestsMapTo400)
         std::string("{\"backend\":\"warp\",\"qasm\":\"") + kBellQasm + "\"}");
     EXPECT_EQ(r.status, 400);
     EXPECT_EQ(errorCode(r), "bad_request");
+    // A Pauli term wider than the 63-qubit cap is refused at parse time.
+    const HttpResult wide = core.handle(
+        "POST", "/v1/run",
+        bellBody(",\"task\":\"expectation\",\"observable\":[[1.0,\"" +
+                 std::string(64, 'Z') + "\"]]"));
+    EXPECT_EQ(wide.status, 400);
+    EXPECT_EQ(errorCode(wide), "bad_request");
     // Task/backend mismatch surfaces at run time but is still a 400.
     EXPECT_EQ(core.handle("POST", "/v1/run",
                           std::string("{\"backend\":\"kc\",\"qasm\":\"") +

@@ -6,9 +6,15 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <string>
+#include <vector>
 
 #include "algorithms/algorithms.h"
+#include "densitymatrix/densitymatrix_simulator.h"
+#include "linalg/matrix.h"
+#include "statevector/statevector_simulator.h"
 #include "vqa/backends.h"
 #include "vqa/driver.h"
 
@@ -89,6 +95,104 @@ TEST(ExpectationParityTest, VqeIsingHamiltonianAgreesAcrossBackends)
 
     for (const char* name : kExactBackends)
         EXPECT_NEAR(exactExpectation(name, c, h), reference, 1e-9) << name;
+}
+
+/** Dense 2^n x 2^n P as the per-character Kronecker product (qubit 0 first). */
+Matrix
+densePauli(const std::string& text)
+{
+    const Matrix i = Matrix::identity(2);
+    const Matrix x = Gate(GateKind::X, {0}).unitary();
+    const Matrix y = Gate(GateKind::Y, {0}).unitary();
+    const Matrix z = Gate(GateKind::Z, {0}).unitary();
+    Matrix p = Matrix::identity(1);
+    for (char c : text)
+        p = p.kron(c == 'X' ? x : c == 'Y' ? y : c == 'Z' ? z : i);
+    return p;
+}
+
+/** Seeded random 5-qubit strings, the first half carrying two or more Ys. */
+std::vector<std::string>
+randomPauliTexts(std::size_t count, std::uint64_t seed)
+{
+    const char alphabet[] = {'I', 'X', 'Y', 'Z'};
+    Rng rng(seed);
+    std::vector<std::string> texts;
+    for (std::size_t k = 0; k < count; ++k) {
+        std::string t(5, 'I');
+        for (char& c : t)
+            c = alphabet[rng.next() % 4];
+        if (k < count / 2) {
+            t[k % 5] = 'Y';
+            t[(k + 2) % 5] = 'Y';
+        }
+        texts.push_back(t);
+    }
+    return texts;
+}
+
+/** Entangling, qubit-asymmetric 5-qubit circuit with distinct angles. */
+Circuit
+asymmetricFiveQubitCircuit()
+{
+    Circuit c(5);
+    c.h(0).ry(1, 0.83).rx(2, 0.41).ry(3, 1.27).rz(4, 0.66).h(4);
+    c.cnot(0, 1).cnot(1, 3).cz(2, 4).crz(3, 0, 0.9);
+    c.rx(0, 0.35).ry(2, 1.9).t(1).s(3).cnot(4, 2).ry(4, 0.52);
+    return c;
+}
+
+TEST(ExpectationParityTest, MultiYStringsMatchADenseOracle)
+{
+    // Terms with several Ys pin the i^{#Y} constant and the sign
+    // convention of every native path; the oracle multiplies out the
+    // per-character Kronecker product of P against the state.
+    const Circuit c = asymmetricFiveQubitCircuit();
+    const std::vector<std::string> texts = randomPauliTexts(20, 1234);
+    std::size_t multiY = 0;
+    for (const std::string& t : texts)
+        multiY += std::count(t.begin(), t.end(), 'Y') >= 2;
+    ASSERT_GE(multiY, texts.size() / 2);
+
+    const StateVector psi = StateVectorSimulator().simulate(c);
+    for (const char* name : kExactBackends) {
+        auto session = makeBackend(name)->open(c);
+        for (const std::string& text : texts) {
+            const Matrix p = densePauli(text);
+            Complex oracle{0.0, 0.0};
+            for (std::size_t r = 0; r < p.rows(); ++r)
+                for (std::size_t col = 0; col < p.cols(); ++col)
+                    oracle += std::conj(psi.amplitude(r)) * p(r, col) *
+                              psi.amplitude(col);
+            PauliSum h;
+            h.add(1.0, PauliString(text));
+            Rng rng(1);
+            const Result r = session->run(Expectation{h, 0}, rng);
+            EXPECT_TRUE(r.meta.exact) << name << " <" << text << ">";
+            EXPECT_NEAR(r.expectation, oracle.real(), 1e-9)
+                << name << " <" << text << ">";
+        }
+    }
+
+    // Noisy dm: tr(rho P) against the same dense P, under a non-unital
+    // channel so the Y terms move away from their ideal values.
+    const Circuit noisy =
+        c.withNoiseAfterEachGate(NoiseKind::AmplitudeDamping, 0.05);
+    const DensityMatrix rho = DensityMatrixSimulator().simulate(noisy);
+    auto dm = makeBackend("dm")->open(noisy);
+    for (const std::string& text : texts) {
+        const Matrix p = densePauli(text);
+        Complex oracle{0.0, 0.0};
+        for (std::size_t r = 0; r < p.rows(); ++r)
+            for (std::size_t col = 0; col < p.cols(); ++col)
+                oracle += rho.at(r, col) * p(col, r);
+        PauliSum h;
+        h.add(1.0, PauliString(text));
+        Rng rng(1);
+        const Result r = dm->run(Expectation{h, 0}, rng);
+        EXPECT_TRUE(r.meta.exact) << "<" << text << ">";
+        EXPECT_NEAR(r.expectation, oracle.real(), 1e-9) << "<" << text << ">";
+    }
 }
 
 TEST(ExpectationParityTest, NoisyDiagonalExpectationExactOnDmAndKc)

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "algorithms/algorithms.h"
 #include "statevector/statevector_simulator.h"
@@ -20,6 +21,35 @@ TEST(PauliStringTest, ParseAndClassify)
     EXPECT_EQ(xy.numQubits(), 3u);
     EXPECT_THROW(PauliString(""), std::invalid_argument);
     EXPECT_THROW(PauliString("XQ"), std::invalid_argument);
+}
+
+TEST(PauliStringTest, RejectsStringsWiderThanTheQubitCap)
+{
+    EXPECT_EQ(PauliString(std::string(63, 'Z')).numQubits(), 63u);
+    EXPECT_THROW(PauliString(std::string(64, 'Z')), std::invalid_argument);
+    EXPECT_THROW(PauliString(std::string(64, 'I')), std::invalid_argument);
+}
+
+TEST(PauliStringTest, MaskEigenvalueMatchesPerCharacterParity)
+{
+    // Every 4-qubit string against every outcome: the mask form must agree
+    // with the parity of the outcome bits under the non-identity factors
+    // (qubit 0 = most significant bit).
+    const char alphabet[] = {'I', 'X', 'Y', 'Z'};
+    for (unsigned code = 0; code < 256; ++code) {
+        std::string text(4, 'I');
+        for (std::size_t q = 0; q < 4; ++q)
+            text[q] = alphabet[(code >> (2 * q)) & 3u];
+        const PauliString p(text);
+        for (std::uint64_t outcome = 0; outcome < 16; ++outcome) {
+            int parity = 0;
+            for (std::size_t q = 0; q < 4; ++q)
+                if (text[q] != 'I')
+                    parity ^= static_cast<int>((outcome >> (3 - q)) & 1u);
+            EXPECT_EQ(p.eigenvalue(outcome), parity ? -1 : 1)
+                << text << " outcome " << outcome;
+        }
+    }
 }
 
 TEST(PauliStringTest, EigenvalueParity)
