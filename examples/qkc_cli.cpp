@@ -47,7 +47,7 @@
 #include "circuit/qasm.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "server/json.h"
+#include "server/server_core.h"
 #include "util/cli.h"
 #include "util/stats.h"
 #include "vqa/backends.h"
@@ -96,44 +96,24 @@ try {
     if (cli.has("list-backends")) {
         // Rendered straight from the registry parseBackendSpec validates
         // against, so this listing cannot drift from what is accepted.
+        const server::Json doc = server::registryJson();
         if (cli.has("json")) {
-            server::Json list = server::Json::array();
-            for (const BackendInfo& info : backendRegistry()) {
-                server::Json b = server::Json::object();
-                b.set("name", info.name);
-                server::Json aliases = server::Json::array();
-                for (const std::string& a : info.aliases)
-                    aliases.push(server::Json(a));
-                b.set("aliases", std::move(aliases));
-                server::Json options = server::Json::array();
-                for (const std::string& k : info.optionKeys)
-                    options.push(server::Json(k));
-                b.set("options", std::move(options));
-                b.set("summary", info.summary);
-                b.set("tasks", info.tasks);
-                b.set("batch", info.batch);
-                list.push(std::move(b));
-            }
-            server::Json out = server::Json::object();
-            out.set("backends", std::move(list));
-            std::printf("%s\n", out.dump().c_str());
+            std::printf("%s\n", doc.dump().c_str());
             return 0;
         }
-        for (const BackendInfo& info : backendRegistry()) {
-            std::string aliases;
-            for (const std::string& a : info.aliases)
-                aliases += (aliases.empty() ? "" : ", ") + a;
-            std::string keys;
-            for (const std::string& k : info.optionKeys)
-                keys += (keys.empty() ? "" : ", ") + k;
-            std::printf("%s\n", info.name.c_str());
-            std::printf("  aliases:  %s\n",
-                        aliases.empty() ? "(none)" : aliases.c_str());
-            std::printf("  options:  %s\n",
-                        keys.empty() ? "(none)" : keys.c_str());
-            std::printf("  profile:  %s\n", info.summary.c_str());
-            std::printf("  tasks:    %s\n", info.tasks.c_str());
-            std::printf("  batch:    %s\n", info.batch.c_str());
+        for (const server::Json& b : doc.find("backends")->items()) {
+            for (const auto& [key, value] : b.members()) {
+                std::string text = value.isString() ? value.asString() : "";
+                for (const server::Json& item : value.isArray()
+                                                    ? value.items()
+                                                    : std::vector<server::Json>{})
+                    text += (text.empty() ? "" : ", ") + item.asString();
+                if (key == "name")
+                    std::printf("%s\n", text.c_str());
+                else
+                    std::printf("  %-9s %s\n", (key + ":").c_str(),
+                                text.empty() ? "(none)" : text.c_str());
+            }
         }
         return 0;
     }
@@ -183,6 +163,20 @@ try {
         return 0;
     }
 
+    if (mode == "dist") {
+        // The kc Probabilities task: refused past the exact-query limit.
+        Rng rng(1);
+        const auto dist = makeBackend("kc")
+                              ->open(circuit)
+                              ->run(Probabilities{}, rng)
+                              .probabilities;
+        for (std::uint64_t x = 0; x < dist.size(); ++x) {
+            if (dist[x] > 1e-12)
+                std::printf("%s  %.8f\n", basisKet(x, n).c_str(), dist[x]);
+        }
+        return 0;
+    }
+
     KcSimulator sim(circuit);
 
     if (mode == "compile") {
@@ -223,17 +217,6 @@ try {
                     basisKet(outcome, n).c_str(),
                     noNoise.empty() ? "" : ", no noise events", a.real(),
                     a.imag(), norm2(a));
-        return 0;
-    }
-
-    if (mode == "dist") {
-        if (n > 16)
-            throw std::runtime_error("--mode=dist limited to 16 qubits");
-        auto dist = sim.outcomeDistribution();
-        for (std::uint64_t x = 0; x < dist.size(); ++x) {
-            if (dist[x] > 1e-12)
-                std::printf("%s  %.8f\n", basisKet(x, n).c_str(), dist[x]);
-        }
         return 0;
     }
 

@@ -7,22 +7,13 @@ namespace server {
 
 namespace {
 
-/** 16·2^n bytes of amplitudes (sv), overflow-safe. */
+/** 16·2^log2Entries bytes within the budget, overflow-safe. */
 bool
-denseStateFits(std::size_t numQubits, std::uint64_t budget)
+denseFits(std::size_t log2Entries, std::uint64_t budget)
 {
-    if (numQubits >= 60)
-        return false; // 16·2^n overflows uint64 past n = 59
-    return (16ull << numQubits) <= budget;
-}
-
-/** 16·4^n bytes of density matrix (dm), overflow-safe. */
-bool
-denseMatrixFits(std::size_t numQubits, std::uint64_t budget)
-{
-    if (numQubits >= 30)
-        return false; // 16·4^n overflows uint64 past n = 29
-    return (16ull << (2 * numQubits)) <= budget;
+    if (log2Entries >= 60)
+        return false; // 16·2^k overflows uint64 past k = 59
+    return (16ull << log2Entries) <= budget;
 }
 
 std::string
@@ -85,43 +76,21 @@ AdmissionVerdict
 admitRequest(const BackendSpec& spec, const Circuit& circuit, const Task& task,
              const AdmissionLimits& limits)
 {
+    const BackendInfo& info = backendInfo(spec.name);
     const std::size_t n = circuit.numQubits();
 
-    if (spec.name == "statevector") {
-        if (!denseStateFits(n, limits.stateMemoryBytes))
-            return AdmissionVerdict::reject(
-                "memory", "a " + std::to_string(n) +
-                              "-qubit state vector needs 16*2^" +
-                              std::to_string(n) +
-                              " bytes, past the state-memory budget of " +
-                              bytesLabel(limits.stateMemoryBytes));
-    } else if (spec.name == "densitymatrix") {
-        if (!denseMatrixFits(n, limits.stateMemoryBytes))
-            return AdmissionVerdict::reject(
-                "memory", "a " + std::to_string(n) +
-                              "-qubit density matrix needs 16*4^" +
-                              std::to_string(n) +
-                              " bytes, past the state-memory budget of " +
-                              bytesLabel(limits.stateMemoryBytes));
-    } else if (spec.name == "tensornetwork") {
-        if (circuit.noiseCount() > 0)
-            return AdmissionVerdict::reject(
-                "backend",
-                "the tensornet backend does not serve noisy circuits");
-    } else if (spec.name == "knowledgecompilation") {
-        // Exact distribution/amplitude queries enumerate 2^n AC evaluations.
-        const bool exactQuery = std::holds_alternative<Amplitudes>(task) ||
-                                std::holds_alternative<Probabilities>(task);
-        if (exactQuery && n > limits.kcMaxExactQubits)
-            return AdmissionVerdict::reject(
-                "backend", "kc exact queries enumerate 2^" +
-                               std::to_string(n) +
-                               " terms, past the " +
-                               std::to_string(limits.kcMaxExactQubits) +
-                               "-qubit enumeration budget");
-    }
-    // dd diagrams are structure-dependent with no closed-form bound; the
-    // package's own gc threshold is the backstop there.
+    const std::string refused = info.refusal(task, circuit);
+    if (!refused.empty())
+        return AdmissionVerdict::reject("backend", refused);
+
+    const std::size_t e = info.denseExponent;
+    if (e > 0 && !denseFits(e * n, limits.stateMemoryBytes))
+        return AdmissionVerdict::reject(
+            "memory", "a " + std::to_string(n) + "-qubit " + info.name +
+                          " needs 16*" + std::to_string(1u << e) + "^" +
+                          std::to_string(n) +
+                          " bytes, past the state-memory budget of " +
+                          bytesLabel(limits.stateMemoryBytes));
 
     return checkTask(task, n, limits);
 }

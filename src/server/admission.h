@@ -15,19 +15,14 @@ namespace server {
  * Resource ceilings the server checks BEFORE opening a session — a
  * 40-qubit state-vector request must be refused with a structured error at
  * the front door, not discovered as a std::bad_alloc after 16 TiB of
- * amplitude allocation has begun. The per-backend cost model mirrors what
- * the engines actually allocate: sv holds 16·2^n bytes of amplitudes, dm
- * 16·4^n bytes of density matrix, kc enumerates 2^n exact query terms, and
- * dd/tn are structure-dependent (no closed-form bound, so only the generic
- * caps apply).
+ * amplitude allocation has begun. The per-backend cost model is the
+ * registry entry's (BackendInfo): sv holds 16·2^n bytes of amplitudes, dm
+ * 16·4^n bytes of density matrix, and dd/tn/kc are structure-dependent (no
+ * closed-form bound, so only the generic caps apply).
  */
 struct AdmissionLimits {
     /** Dense-state budget (sv amplitudes, dm density matrix), bytes. */
     std::uint64_t stateMemoryBytes = 4ull << 30;
-
-    /** kc exact-query enumeration budget: refuses exact distribution /
-     *  amplitude queries past this qubit count (2^n term evaluations). */
-    std::size_t kcMaxExactQubits = 16;
 
     std::size_t maxShots = 1u << 20;        ///< Sample/Expectation shots
     std::size_t maxAmplitudes = 4096;       ///< Amplitudes bitstring count
@@ -56,7 +51,8 @@ struct AdmissionVerdict {
 
 /**
  * Feasibility check for one request against one backend, consulted before
- * any session is opened or cached. Admission is deliberately conservative
+ * any session is opened or cached; a task BackendInfo::refusal names is
+ * rejected with field "backend". Admission is deliberately conservative
  * in what it models — structure-dependent blowups (dd diagram width, kc
  * compilation size) pass here and are bounded by the engines' own limits —
  * but everything it does model is checked exactly.

@@ -445,8 +445,9 @@ ServerCore::runRequest(const std::string& body)
         try {
             std::rethrow_exception(waiter->error);
         } catch (const std::invalid_argument& e) {
-            // Task/backend mismatches surface at run time (e.g. amplitudes
-            // on a noisy dm session) but are still the client's request.
+            // Argument errors admission does not model (an out-of-range
+            // bitstring or marginal qubit) surface at run time but are
+            // still the client's request.
             counterBadRequest().add();
             return errorResult(400, "bad_request", e.what());
         } catch (const std::exception& e) {
@@ -559,8 +560,8 @@ ServerCore::execute(CacheEntry& entry, const std::shared_ptr<Waiter>& w)
     entry.running = false;
 }
 
-HttpResult
-ServerCore::backendsResponse() const
+Json
+registryJson()
 {
     Json list = Json::array();
     for (const BackendInfo& info : backendRegistry()) {
@@ -575,13 +576,19 @@ ServerCore::backendsResponse() const
             options.push(Json(k));
         b.set("options", std::move(options));
         b.set("summary", info.summary);
-        b.set("tasks", info.tasks);
+        b.set("tasks", info.tasksText());
         b.set("batch", info.batch);
         list.push(std::move(b));
     }
     Json out = Json::object();
     out.set("backends", std::move(list));
-    return {200, out.dump()};
+    return out;
+}
+
+HttpResult
+ServerCore::backendsResponse() const
+{
+    return {200, registryJson().dump()};
 }
 
 HttpResult

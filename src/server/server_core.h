@@ -54,6 +54,13 @@ struct ServerConfig {
     JsonLimits json{};
 };
 
+/**
+ * The backend registry as a JSON document: what GET /v1/backends serves
+ * and qkc_cli --list-backends --json prints. The `tasks` text is rendered
+ * from each entry's capability cells.
+ */
+Json registryJson();
+
 /** One HTTP exchange's outcome, transport-agnostic. */
 struct HttpResult {
     int status = 200;

@@ -37,12 +37,11 @@ execPolicyFrom(const BackendOptions& options)
 
 class SvSession final : public Session {
   public:
-    SvSession(const Circuit& circuit, const BackendOptions& options)
-        : Session("statevector", circuit), options_(options),
-          policy_(execPolicyFrom(options)), sim_(policy_),
-          plan_(planCircuit(circuit, policy_))
+    SvSession(const BackendInfo& info, const Circuit& circuit,
+              const BackendOptions& options)
+        : Session(info, circuit, options), policy_(execPolicyFrom(options)),
+          sim_(policy_), plan_(planCircuit(circuit, policy_))
     {
-        obsEnabled_ = options.obs;
     }
 
   protected:
@@ -79,35 +78,23 @@ class SvSession final : public Session {
         return false;
     }
 
+    void endTask(ResultMeta& meta) override { meta.fusion = plan_.fusion; }
+
     std::vector<std::uint64_t> doSample(std::size_t shots, Rng& rng,
                                         ResultMeta& meta) override
     {
-        meta.fusion = plan_.fusion;
         if (circuit_.noiseCount() > 0) {
             QKC_SPAN("sv.trajectories");
             meta.trajectories += shots;
             return sim_.sampleNoisyPlanned(plan_, shots, rng);
         }
         ensureProbs();
-        meta.exact = true;
         QKC_SPAN("sv.sample");
         return StateVectorSimulator::sampleFromDistribution(probs_, shots,
                                                             rng);
     }
 
-    double doExpectation(const PauliSum& observable, std::size_t shots,
-                         Rng& rng, ResultMeta& meta) override
-    {
-        meta.fusion = plan_.fusion; // the sampled fallback reports it too
-        return Session::doExpectation(observable, shots, rng, meta);
-    }
-
-    bool exactTerm(const PauliString&) const override
-    {
-        return circuit_.noiseCount() == 0;
-    }
-
-    const char* prepareExpectation(ResultMeta&) override
+    const char* prepareExpectation() override
     {
         ensureState();
         return "sv.expectation";
@@ -119,51 +106,29 @@ class SvSession final : public Session {
     }
 
     std::vector<Complex> doAmplitudes(
-        const std::vector<std::uint64_t>& bitstrings,
-        ResultMeta& meta) override
+        const std::vector<std::uint64_t>& bitstrings) override
     {
-        if (circuit_.noiseCount() > 0)
-            unsupported("Amplitudes",
-                        "noisy runs are trajectory mixtures; use dm "
-                        "probabilities instead");
         ensureState();
-        meta.exact = true;
         std::vector<Complex> out;
         out.reserve(bitstrings.size());
-        for (std::uint64_t b : bitstrings) {
-            if (b >= state_->dimension())
-                throw std::invalid_argument(
-                    "Amplitudes: bitstring out of range");
+        for (std::uint64_t b : bitstrings)
             out.push_back(state_->amplitude(b));
-        }
         return out;
     }
 
-    std::vector<double> doProbabilities(const std::vector<std::size_t>& qubits,
-                                        ResultMeta& meta) override
+    std::vector<double> doProbabilities(
+        const std::vector<std::size_t>& qubits) override
     {
-        if (circuit_.noiseCount() > 0)
-            unsupported("Probabilities",
-                        "the noisy state-vector path is trajectory-sampled; "
-                        "use the density-matrix backend for exact noisy "
-                        "distributions");
         ensureProbs();
-        meta.exact = true;
         return marginalizeDistribution(probs_, circuit_.numQubits(), qubits);
-    }
-
-    std::unique_ptr<Session> openAdHoc(const Circuit& rotated) const override
-    {
-        return std::make_unique<SvSession>(rotated, options_);
     }
 
   private:
     /** Batch-lane clone: copies the compiled plan instead of re-planning. */
     SvSession(const SvSession& parent)
-        : Session("statevector", parent.circuit_), options_(parent.options_),
+        : Session(parent.info_, parent.circuit_, parent.options_),
           policy_(parent.policy_), sim_(parent.policy_), plan_(parent.plan_)
     {
-        obsEnabled_ = parent.obsEnabled_;
     }
 
     void ensureState()
@@ -189,7 +154,6 @@ class SvSession final : public Session {
         probsFresh_ = true;
     }
 
-    BackendOptions options_;
     ExecPolicy policy_;
     StateVectorSimulator sim_;
     ExecutionPlan plan_;
@@ -205,12 +169,11 @@ class SvSession final : public Session {
 
 class DmSession final : public Session {
   public:
-    DmSession(const Circuit& circuit, const BackendOptions& options)
-        : Session("densitymatrix", circuit), options_(options),
-          policy_(execPolicyFrom(options)), sim_(policy_),
-          plan_(planCircuitDm(circuit, policy_))
+    DmSession(const BackendInfo& info, const Circuit& circuit,
+              const BackendOptions& options)
+        : Session(info, circuit, options), policy_(execPolicyFrom(options)),
+          sim_(policy_), plan_(planCircuitDm(circuit, policy_))
     {
-        obsEnabled_ = options.obs;
     }
 
   protected:
@@ -235,24 +198,20 @@ class DmSession final : public Session {
         return false;
     }
 
+    void endTask(ResultMeta& meta) override { meta.fusion = plan_.fusion; }
+
     std::vector<std::uint64_t> doSample(std::size_t shots, Rng& rng,
-                                        ResultMeta& meta) override
+                                        ResultMeta&) override
     {
         ensureRho();
-        meta.exact = true;
-        meta.fusion = plan_.fusion;
         QKC_SPAN("dm.sample");
         return StateVectorSimulator::sampleFromDistribution(*probs_, shots,
                                                             rng);
     }
 
-    // tr(rho P) is exact for every observable, channels included.
-    bool exactTerm(const PauliString&) const override { return true; }
-
-    const char* prepareExpectation(ResultMeta& meta) override
+    const char* prepareExpectation() override
     {
         ensureRho();
-        meta.fusion = plan_.fusion;
         return "dm.trace";
     }
 
@@ -267,19 +226,12 @@ class DmSession final : public Session {
         return total.real();
     }
 
-    std::vector<double> doProbabilities(const std::vector<std::size_t>& qubits,
-                                        ResultMeta& meta) override
+    std::vector<double> doProbabilities(
+        const std::vector<std::size_t>& qubits) override
     {
         ensureRho();
-        meta.exact = true;
-        meta.fusion = plan_.fusion;
         QKC_SPAN("dm.marginal");
         return marginalizeDistribution(*probs_, circuit_.numQubits(), qubits);
-    }
-
-    std::unique_ptr<Session> openAdHoc(const Circuit& rotated) const override
-    {
-        return std::make_unique<DmSession>(rotated, options_);
     }
 
   private:
@@ -292,7 +244,6 @@ class DmSession final : public Session {
         probs_ = rho_->diagonalProbabilities();
     }
 
-    BackendOptions options_;
     ExecPolicy policy_;
     DensityMatrixSimulator sim_;
     DmExecutionPlan plan_;
@@ -306,11 +257,10 @@ class DmSession final : public Session {
 
 class TnSession final : public Session {
   public:
-    TnSession(const Circuit& circuit, const BackendOptions& options)
-        : Session("tensornetwork", circuit), options_(options),
-          sampler_(circuit)
+    TnSession(const BackendInfo& info, const Circuit& circuit,
+              const BackendOptions& options)
+        : Session(info, circuit, options), sampler_(circuit)
     {
-        obsEnabled_ = options.obs;
     }
 
   protected:
@@ -335,40 +285,31 @@ class TnSession final : public Session {
     }
 
     std::vector<std::uint64_t> doSample(std::size_t shots, Rng& rng,
-                                        ResultMeta& meta) override
+                                        ResultMeta&) override
     {
-        meta.exact = true; // conditional marginals are contracted exactly
         QKC_SPAN("tn.sample");
         return sampler_.sample(shots, rng);
     }
 
     std::vector<Complex> doAmplitudes(
-        const std::vector<std::uint64_t>& bitstrings,
-        ResultMeta& meta) override
+        const std::vector<std::uint64_t>& bitstrings) override
     {
-        meta.exact = true;
         QKC_SPAN("tn.amplitudes");
         TensorNetworkSimulator tn;
         std::vector<Complex> out;
         out.reserve(bitstrings.size());
-        const std::uint64_t dim = std::uint64_t{1} << circuit_.numQubits();
-        for (std::uint64_t b : bitstrings) {
-            if (b >= dim)
-                throw std::invalid_argument(
-                    "Amplitudes: bitstring out of range");
+        for (std::uint64_t b : bitstrings)
             out.push_back(tn.amplitude(circuit_, b));
-        }
         return out;
     }
 
-    std::vector<double> doProbabilities(const std::vector<std::size_t>& qubits,
-                                        ResultMeta& meta) override
+    std::vector<double> doProbabilities(
+        const std::vector<std::size_t>& qubits) override
     {
         // Exact marginal over an arbitrary subset by doubled-network
         // contraction — never materializes the 2^n distribution. The plan
         // is cached per subset, so repeated queries (and assignments) only
         // re-pay contraction arithmetic.
-        meta.exact = true;
         QKC_SPAN("tn.marginal");
         const std::size_t n = circuit_.numQubits();
         const std::vector<std::size_t> subset =
@@ -403,13 +344,6 @@ class TnSession final : public Session {
         return out;
     }
 
-    std::unique_ptr<Session> openAdHoc(const Circuit& rotated) const override
-    {
-        // The cached sub-session is the tn fallback's big win: the rotated
-        // network's contraction plans used to be rebuilt per term per call.
-        return std::make_unique<TnSession>(rotated, options_);
-    }
-
   private:
     std::vector<std::size_t> allQubits() const
     {
@@ -419,7 +353,6 @@ class TnSession final : public Session {
         return qs;
     }
 
-    BackendOptions options_;
     TnSampler sampler_;
     std::optional<TnSampler::MarginalPlan> marginal_; ///< last proper subset
     std::vector<std::size_t> marginalQubits_;
@@ -438,11 +371,10 @@ ddGcOptions(const BackendOptions& options)
 
 class DdSession final : public Session {
   public:
-    DdSession(const Circuit& circuit, const BackendOptions& options)
-        : Session("decisiondiagram", circuit), options_(options),
-          sim_(ddGcOptions(options))
+    DdSession(const BackendInfo& info, const Circuit& circuit,
+              const BackendOptions& options)
+        : Session(info, circuit, options), sim_(ddGcOptions(options))
     {
-        obsEnabled_ = options.obs;
     }
 
   protected:
@@ -453,7 +385,7 @@ class DdSession final : public Session {
         // across threads. The lane's package persists across bindings and
         // batches (GC bounds it), so gate DDs and unique tables amortize
         // within each lane exactly as they do in the parent session.
-        auto lane = std::make_unique<DdSession>(circuit_, options_);
+        auto lane = std::make_unique<DdSession>(info_, circuit_, options_);
         lane->clearInitialBuild(); // construction compiles nothing
         return lane;
     }
@@ -500,10 +432,29 @@ class DdSession final : public Session {
         return sameStructure;
     }
 
+    /**
+     * Snapshots the package counters at task entry so endTask can report
+     * per-task compute-table deltas (hit rates undiluted by the session's
+     * history). Zeros when no package exists yet — a first task then
+     * deltas against a fresh package, which is also correct.
+     */
+    void beginTask() override
+    {
+        taskStart_ = sim_.hasPackage() ? sim_.package().stats() : DdStats{};
+        laneMemory_.reset();
+    }
+
+    void endTask(ResultMeta& meta) override
+    {
+        if (laneMemory_)
+            meta.ddMemory = *laneMemory_;
+        else if (sim_.hasPackage())
+            meta.ddMemory = packageMemory();
+    }
+
     std::vector<std::uint64_t> doSample(std::size_t shots, Rng& rng,
                                         ResultMeta& meta) override
     {
-        markTaskStart();
         if (circuit_.noiseCount() > 0) {
             QKC_SPAN("dd.trajectories");
             meta.trajectories += shots;
@@ -517,39 +468,20 @@ class DdSession final : public Session {
                 s = rng.next();
             const std::size_t lanes =
                 std::min<std::size_t>(trajectoryLanes(), shots);
-            if (lanes <= 1) {
-                auto samples = sim_.sampleNoisySeeded(circuit_, seeds);
-                stampDdMemory(meta);
-                return samples;
-            }
-            return sampleNoisyParallel(seeds, lanes, meta);
+            if (lanes <= 1)
+                return sim_.sampleNoisySeeded(circuit_, seeds);
+            return sampleNoisyParallel(seeds, lanes);
         }
         ensureState();
-        meta.exact = true;
         QKC_SPAN("dd.sample");
         std::vector<std::uint64_t> samples;
         samples.reserve(shots);
         for (std::size_t s = 0; s < shots; ++s)
             samples.push_back(sim_.package().sampleOutcome(state_, rng));
-        stampDdMemory(meta);
         return samples;
     }
 
-    double doExpectation(const PauliSum& observable, std::size_t shots,
-                         Rng& rng, ResultMeta& meta) override
-    {
-        markTaskStart();
-        const double e = Session::doExpectation(observable, shots, rng, meta);
-        stampDdMemory(meta);
-        return e;
-    }
-
-    bool exactTerm(const PauliString&) const override
-    {
-        return circuit_.noiseCount() == 0;
-    }
-
-    const char* prepareExpectation(ResultMeta&) override
+    const char* prepareExpectation() override
     {
         ensureState();
         return "dd.expectation";
@@ -566,51 +498,25 @@ class DdSession final : public Session {
     }
 
     std::vector<Complex> doAmplitudes(
-        const std::vector<std::uint64_t>& bitstrings,
-        ResultMeta& meta) override
+        const std::vector<std::uint64_t>& bitstrings) override
     {
-        markTaskStart();
-        if (circuit_.noiseCount() > 0)
-            unsupported("Amplitudes",
-                        "noisy runs are trajectory mixtures");
         ensureState();
-        meta.exact = true;
         QKC_SPAN("dd.amplitudes");
         const DdPackage& pkg = sim_.package();
         std::vector<Complex> out;
         out.reserve(bitstrings.size());
-        const std::uint64_t dim = std::uint64_t{1} << circuit_.numQubits();
-        for (std::uint64_t b : bitstrings) {
-            if (b >= dim)
-                throw std::invalid_argument(
-                    "Amplitudes: bitstring out of range");
+        for (std::uint64_t b : bitstrings)
             out.push_back(pkg.amplitude(state_, b));
-        }
-        stampDdMemory(meta);
         return out;
     }
 
-    std::vector<double> doProbabilities(const std::vector<std::size_t>& qubits,
-                                        ResultMeta& meta) override
+    std::vector<double> doProbabilities(
+        const std::vector<std::size_t>& qubits) override
     {
-        markTaskStart();
-        if (circuit_.noiseCount() > 0)
-            unsupported("Probabilities",
-                        "the noisy decision-diagram path is "
-                        "trajectory-sampled; use the density-matrix backend");
         ensureState();
-        meta.exact = true;
         QKC_SPAN("dd.probabilities");
-        auto probs = marginalizeDistribution(
-            sim_.package().probabilities(state_), circuit_.numQubits(),
-            qubits);
-        stampDdMemory(meta);
-        return probs;
-    }
-
-    std::unique_ptr<Session> openAdHoc(const Circuit& rotated) const override
-    {
-        return std::make_unique<DdSession>(rotated, options_);
+        return marginalizeDistribution(sim_.package().probabilities(state_),
+                                       circuit_.numQubits(), qubits);
     }
 
   private:
@@ -635,8 +541,7 @@ class DdSession final : public Session {
      * batch lane's plan — so nothing is worth pinning per thread.
      */
     std::vector<std::uint64_t> sampleNoisyParallel(
-        const std::vector<std::uint64_t>& seeds, std::size_t lanes,
-        ResultMeta& meta)
+        const std::vector<std::uint64_t>& seeds, std::size_t lanes)
     {
         const std::size_t shots = seeds.size();
         std::vector<std::uint64_t> samples(shots);
@@ -695,7 +600,7 @@ class DdSession final : public Session {
         }
         m.taskApply = m.apply;
         m.taskAdd = m.add;
-        meta.ddMemory = m;
+        laneMemory_ = m;
         return samples;
     }
 
@@ -747,21 +652,9 @@ class DdSession final : public Session {
         return it->second;
     }
 
-    /**
-     * Snapshots the package counters at task entry so stampDdMemory can
-     * report per-task compute-table deltas (hit rates undiluted by the
-     * session's history). Zeros when no package exists yet — a first task
-     * then deltas against a fresh package, which is also correct.
-     */
-    void markTaskStart()
+    /** The session package's counters, with deltas since beginTask. */
+    DdMemoryStats packageMemory()
     {
-        taskStart_ = sim_.hasPackage() ? sim_.package().stats() : DdStats{};
-    }
-
-    void stampDdMemory(ResultMeta& meta)
-    {
-        if (!sim_.hasPackage())
-            return;
         const DdStats& s = sim_.package().stats();
         DdMemoryStats m;
         m.liveVNodes = s.liveVNodes;
@@ -776,12 +669,13 @@ class DdSession final : public Session {
                        s.applyMisses - taskStart_.applyMisses};
         m.taskAdd = {s.addHits - taskStart_.addHits,
                      s.addMisses - taskStart_.addMisses};
-        meta.ddMemory = m;
+        return m;
     }
 
-    BackendOptions options_;
     DdSimulator sim_;
     DdStats taskStart_{}; ///< package counters at task entry (per-task deltas)
+    /** Summed lane-package stats of a trajectory-parallel noisy Sample. */
+    std::optional<DdMemoryStats> laneMemory_;
     VEdge state_;
     bool built_ = false;
     std::map<std::string, MEdge> termDds_; ///< per-term Pauli-string DDs
@@ -793,10 +687,10 @@ class DdSession final : public Session {
 
 class KcSession final : public Session {
   public:
-    KcSession(const Circuit& circuit, const BackendOptions& options)
-        : Session("knowledgecompilation", circuit), options_(options)
+    KcSession(const BackendInfo& info, const Circuit& circuit,
+              const BackendOptions& options)
+        : Session(info, circuit, options)
     {
-        obsEnabled_ = options.obs;
         gibbs_.burnIn = options.burnIn;
         gibbs_.thin = options.thin;
         QKC_SPAN("kc.compile");
@@ -812,7 +706,7 @@ class KcSession final : public Session {
         // evaluator tapes), so a lane pays one honest compile — counted as
         // a planBuild — and amortizes it across every batch this session
         // runs (lanes persist for the session lifetime).
-        return std::make_unique<KcSession>(circuit_, options_);
+        return std::make_unique<KcSession>(info_, circuit_, options_);
     }
 
     void trimBatchLane() override
@@ -841,24 +735,19 @@ class KcSession final : public Session {
     }
 
     std::vector<std::uint64_t> doSample(std::size_t shots, Rng& rng,
-                                        ResultMeta& meta) override
+                                        ResultMeta&) override
     {
-        (void)meta; // Gibbs sampling is MCMC: exact stays false
         QKC_SPAN("kc.gibbs");
         return sim_->sample(shots, rng, gibbs_);
     }
 
     bool exactTerm(const PauliString& pauli) const override
     {
-        // AC queries serve diagonal terms from the exact outcome
-        // distribution (noise included — probability() sums noise events)
-        // and, on ideal circuits, arbitrary Paulis from the amplitude
-        // vector — both only while the query cost is feasible (the
-        // noise-assignment enumeration is exponential in the channel count).
-        if (pauli.isDiagonal())
-            return distributionFeasible();
-        return circuit_.noiseCount() == 0 &&
-               circuit_.numQubits() <= kMaxExactQubits;
+        // Within the query limit, AC queries serve diagonal terms from the
+        // exact outcome distribution (noise included — probability() sums
+        // noise events) and, on ideal circuits, arbitrary Paulis from the
+        // amplitude vector.
+        return pauli.isDiagonal() || circuit_.noiseCount() == 0;
     }
 
     double termExpectation(const PauliString& pauli) override
@@ -872,73 +761,24 @@ class KcSession final : public Session {
     }
 
     std::vector<Complex> doAmplitudes(
-        const std::vector<std::uint64_t>& bitstrings,
-        ResultMeta& meta) override
+        const std::vector<std::uint64_t>& bitstrings) override
     {
-        if (circuit_.noiseCount() > 0)
-            unsupported("Amplitudes",
-                        "amplitudes of noisy circuits require an explicit "
-                        "noise-event assignment; query KcSimulator directly");
-        meta.exact = true;
-        const std::uint64_t dim = std::uint64_t{1} << circuit_.numQubits();
+        // One upward AC pass per bitstring: no query limit applies.
         std::vector<Complex> out;
         out.reserve(bitstrings.size());
-        for (std::uint64_t b : bitstrings) {
-            if (b >= dim)
-                throw std::invalid_argument(
-                    "Amplitudes: bitstring out of range");
+        for (std::uint64_t b : bitstrings)
             out.push_back(sim_->amplitude(b));
-        }
         return out;
     }
 
-    std::vector<double> doProbabilities(const std::vector<std::size_t>& qubits,
-                                        ResultMeta& meta) override
+    std::vector<double> doProbabilities(
+        const std::vector<std::size_t>& qubits) override
     {
-        if (!distributionFeasible())
-            unsupported("Probabilities",
-                        circuit_.noiseCount() == 0
-                            ? "the exact distribution costs 2^n AC "
-                              "evaluations and the circuit exceeds the "
-                              "qubit cap"
-                            : "the exact noise-assignment enumeration is "
-                              "exponential in the channel count and "
-                              "exceeds the feasibility limit here");
         ensureDistribution();
-        meta.exact = true;
         return marginalizeDistribution(*dist_, circuit_.numQubits(), qubits);
     }
 
-    std::unique_ptr<Session> openAdHoc(const Circuit& rotated) const override
-    {
-        // Gibbs shots are accounted via fallbackShots; caching the rotated
-        // sub-session means the AC for a term signature compiles once per
-        // session instead of once per Expectation call.
-        return std::make_unique<KcSession>(rotated, options_);
-    }
-
   private:
-    /** Qubit cap for 2^n-query sweeps (distribution / amplitude vector). */
-    static constexpr std::size_t kMaxExactQubits = 16;
-    /** Evaluator-pass budget for exact queries (2^n x noise assignments). */
-    static constexpr double kMaxExactEvaluations = 1 << 16;
-
-    /** True when the exact outcome distribution is affordable to compute. */
-    bool distributionFeasible() const
-    {
-        const std::size_t n = circuit_.numQubits();
-        if (n > kMaxExactQubits)
-            return false;
-        double evaluations = static_cast<double>(std::uint64_t{1} << n);
-        const auto& bn = sim_->bayesNet();
-        for (std::size_t v : bn.noiseVars()) {
-            evaluations *= static_cast<double>(bn.variable(v).cardinality);
-            if (evaluations > kMaxExactEvaluations)
-                return false;
-        }
-        return evaluations <= kMaxExactEvaluations;
-    }
-
     void ensureDistribution()
     {
         if (dist_)
@@ -960,67 +800,101 @@ class KcSession final : public Session {
         amps_ = std::move(amps);
     }
 
-    BackendOptions options_;
     GibbsOptions gibbs_;
     std::unique_ptr<KcSimulator> sim_;
     std::optional<std::vector<double>> dist_;
     std::optional<std::vector<Complex>> amps_;
 };
 
+template <class S>
+std::unique_ptr<Session>
+openSession(const BackendInfo& info, const Circuit& circuit,
+            const BackendOptions& options)
+{
+    return std::make_unique<S>(info, circuit, options);
+}
+
 } // namespace
 
 // ---------------------------------------------------------------------------
-// Backends
+// The registry: every backend's capabilities, declared once
 // ---------------------------------------------------------------------------
 
-std::unique_ptr<Session>
-StateVectorBackend::open(const Circuit& circuit,
-                         const BackendOptions& options) const
+const std::vector<BackendInfo>&
+backendRegistry()
 {
-    return std::make_unique<SvSession>(circuit, options);
-}
-
-std::unique_ptr<Session>
-DensityMatrixBackend::open(const Circuit& circuit,
-                           const BackendOptions& options) const
-{
-    return std::make_unique<DmSession>(circuit, options);
-}
-
-std::unique_ptr<Session>
-TensorNetworkBackend::open(const Circuit& circuit,
-                           const BackendOptions& options) const
-{
-    return std::make_unique<TnSession>(circuit, options);
-}
-
-std::unique_ptr<Session>
-DecisionDiagramBackend::open(const Circuit& circuit,
-                             const BackendOptions& options) const
-{
-    return std::make_unique<DdSession>(circuit, options);
-}
-
-std::unique_ptr<Session>
-KnowledgeCompilationBackend::open(const Circuit& circuit,
-                                  const BackendOptions& options) const
-{
-    return std::make_unique<KcSession>(circuit, options);
+    constexpr Support No = Support::No, Exact = Support::Exact,
+                      Sampled = Support::Sampled, Limited = Support::Limited;
+    // Cells per task, {ideal, noisy}, in Task order: sample, expectation,
+    // amplitudes, probabilities. Then the dense-memory exponent, the
+    // exact-query limit, the batch strategy and the session factory.
+    static const std::vector<BackendInfo> registry = {
+        {"statevector",
+         {"sv"},
+         {"threads", "fuse", "simd", "obs"},
+         "dense 2^n state vector (qsim-style); Kraus trajectories when "
+         "noise is present",
+         {{{Exact, Sampled}, {Exact, Sampled}, {Exact, No}, {Exact, No}}},
+         1, 0,
+         "parallel lanes (threads option): each lane clones the compiled "
+         "ExecutionPlan and rebinds it per binding",
+         &openSession<SvSession>},
+        {"densitymatrix",
+         {"dm"},
+         {"threads", "fuse", "simd", "obs"},
+         "dense 4^n density matrix (Cirq-style); every channel exact",
+         {{{Exact, Exact}, {Exact, Exact}, {No, No}, {Exact, Exact}}},
+         2, 0,
+         "serialized: a 4^n plan + rho per lane would multiply peak memory "
+         "and the superoperator sweeps already parallelize internally",
+         &openSession<DmSession>},
+        {"tensornetwork",
+         {"tn"},
+         {"obs"},
+         "qTorch-style tensor-network contraction (ideal circuits only); "
+         "probabilities are exact marginals by doubled-network contraction",
+         {{{Exact, No}, {Sampled, No}, {Exact, No}, {Exact, No}}},
+         0, 0,
+         "serialized: the sampler's per-prefix contraction caches mutate "
+         "during sampling and do not clone cheaply",
+         &openSession<TnSession>},
+        {"decisiondiagram",
+         {"dd"},
+         {"threads", "gc", "gcthreshold", "obs"},
+         "QMDD decision diagram (DDSIM-style); Kraus trajectories when "
+         "noise is present; ref-counted mark-and-sweep node GC",
+         {{{Exact, Sampled}, {Exact, Sampled}, {Exact, No}, {Exact, No}}},
+         0, 0,
+         "parallel lanes (threads option): a private DdPackage (arena, "
+         "unique and compute tables) per lane, garbage-collected between "
+         "batches; a noisy Sample fans its trajectories over per-lane "
+         "packages the same way",
+         &openSession<DdSession>},
+        {"knowledgecompilation",
+         {"kc"},
+         {"burnin", "thin", "obs"},
+         "knowledge compilation (this paper): compile once, refresh "
+         "parameter leaves across a variational sweep; samples by Gibbs "
+         "chains; exact queries count 2^n outcomes times noise "
+         "assignments against the limit, and under noise only diagonal "
+         "observables are exact (the rest are Gibbs-sampled)",
+         {{{Sampled, Sampled}, {Limited, Limited}, {Exact, No},
+           {Limited, Limited}}},
+         0, 16,
+         "parallel lanes (QKC_THREADS): one compiled AC per lane (one "
+         "honest compile each, kept for the session), leaf refresh per "
+         "binding",
+         &openSession<KcSession>},
+    };
+    return registry;
 }
 
 std::unique_ptr<Backend>
 makeBackend(const std::string& spec)
 {
     const BackendSpec parsed = parseBackendSpec(spec);
-    if (parsed.name == "statevector")
-        return std::make_unique<StateVectorBackend>(parsed.options);
-    if (parsed.name == "densitymatrix")
-        return std::make_unique<DensityMatrixBackend>(parsed.options);
-    if (parsed.name == "tensornetwork")
-        return std::make_unique<TensorNetworkBackend>(parsed.options);
-    if (parsed.name == "decisiondiagram")
-        return std::make_unique<DecisionDiagramBackend>(parsed.options);
-    return std::make_unique<KnowledgeCompilationBackend>(parsed.options);
+    return std::make_unique<Backend>(backendInfo(parsed.name),
+                                     parsed.options);
 }
 
 } // namespace qkc

@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <climits>
 #include <cstdlib>
 #include <exception>
+#include <iterator>
 #include <map>
 #include <optional>
 #include <stdexcept>
@@ -18,9 +20,10 @@ namespace qkc {
 // Session
 // ---------------------------------------------------------------------------
 
-Session::Session(std::string backendName, Circuit circuit)
-    : circuit_(std::move(circuit)), planBuilds_(1),
-      backendName_(std::move(backendName))
+Session::Session(const BackendInfo& info, Circuit circuit,
+                 const BackendOptions& options)
+    : info_(info), options_(options), circuit_(std::move(circuit)),
+      planBuilds_(1)
 {
 }
 
@@ -42,32 +45,63 @@ Session::bind(const Circuit& circuit)
         ++planBuilds_;
 }
 
+namespace {
+
+/** Throws on arguments the task cannot take on an n-qubit circuit. */
+void
+checkTaskArguments(const Task& task, std::size_t n)
+{
+    if (const auto* a = std::get_if<Amplitudes>(&task)) {
+        for (std::uint64_t b : a->bitstrings)
+            if (n < 64 && (b >> n) != 0)
+                throw std::invalid_argument(
+                    "Amplitudes: bitstring out of range");
+    } else if (const auto* e = std::get_if<Expectation>(&task)) {
+        if (e->observable.terms.empty())
+            throw std::invalid_argument("Expectation: empty observable");
+        for (const auto& [coeff, pauli] : e->observable.terms) {
+            (void)coeff;
+            if (pauli.numQubits() != n)
+                throw std::invalid_argument(
+                    "Expectation: observable qubit count does not match "
+                    "the bound circuit");
+        }
+    }
+}
+
+} // namespace
+
 Result
 Session::run(const Task& task, Rng& rng)
 {
+    const std::string refused = info_.refusal(task, circuit_);
+    if (!refused.empty())
+        throw std::invalid_argument("Session::run: " + refused);
+    checkTaskArguments(task, circuit_.numQubits());
+
+    const Support cell = info_.support(task, circuit_);
     Result result;
-    result.meta.backend = backendName_;
+    result.meta.backend = info_.name;
+    result.meta.exact = cell != Support::Sampled; // Expectation decides below
     const auto runTask = [&] {
+        beginTask();
         std::visit(
             [&](const auto& t) {
                 using T = std::decay_t<decltype(t)>;
-                if constexpr (std::is_same_v<T, Sample>) {
+                if constexpr (std::is_same_v<T, Sample>)
                     result.samples = doSample(t.shots, rng, result.meta);
-                } else if constexpr (std::is_same_v<T, Expectation>) {
-                    checkObservable(t.observable);
+                else if constexpr (std::is_same_v<T, Expectation>)
                     result.expectation =
-                        doExpectation(t.observable, t.shots, rng, result.meta);
-                } else if constexpr (std::is_same_v<T, Amplitudes>) {
-                    result.amplitudes =
-                        doAmplitudes(t.bitstrings, result.meta);
-                } else {
-                    result.probabilities =
-                        doProbabilities(t.qubits, result.meta);
-                }
+                        expectation(t, cell, rng, result.meta);
+                else if constexpr (std::is_same_v<T, Amplitudes>)
+                    result.amplitudes = doAmplitudes(t.bitstrings);
+                else
+                    result.probabilities = doProbabilities(t.qubits);
             },
             task);
+        endTask(result.meta);
     };
-    if (obsEnabled_ && obs::enabled()) {
+    if (options_.obs && obs::enabled()) {
         // The profile scope doubles as the task timer: its envelope is the
         // run, its phases are the backend's top-level spans, so the phase
         // times sum to (within clock reads) meta.seconds.
@@ -254,21 +288,25 @@ Session::batchThreads() const
 }
 
 double
-Session::doExpectation(const PauliSum& observable, std::size_t shots,
-                       Rng& rng, ResultMeta& meta)
+Session::expectation(const Expectation& task, Support cell, Rng& rng,
+                     ResultMeta& meta)
 {
+    const PauliSum& observable = task.observable;
+    const bool limited = cell == Support::Limited;
+    if (cell == Support::Sampled ||
+        (limited && !info_.withinQueryLimit(circuit_)))
+        return sampledExpectation(observable, task.shots, rng, meta);
     bool constant = true;
     for (const auto& [coeff, pauli] : observable.terms) {
         (void)coeff;
         if (pauli.isIdentity())
             continue;
-        if (!exactTerm(pauli))
-            return sampledExpectation(observable, shots, rng, meta);
+        if (limited && !exactTerm(pauli))
+            return sampledExpectation(observable, task.shots, rng, meta);
         constant = false;
     }
-    meta.exact = true;
     std::optional<obs::Span> span;
-    const char* name = constant ? nullptr : prepareExpectation(meta);
+    const char* name = constant ? nullptr : prepareExpectation();
     if (name)
         span.emplace(name);
     double total = 0.0;
@@ -280,32 +318,34 @@ Session::doExpectation(const PauliSum& observable, std::size_t shots,
 bool
 Session::exactTerm(const PauliString&) const
 {
-    return false;
+    return true;
 }
 
 const char*
-Session::prepareExpectation(ResultMeta&)
+Session::prepareExpectation()
 {
     return nullptr;
 }
 
+// run calls the payload hooks only on cells the registry serves, so a
+// default here means a registry entry promises what its session lacks.
+
 double
 Session::termExpectation(const PauliString&)
 {
-    unsupported("Expectation", "the backend has no exact term evaluator");
+    throw std::logic_error("Session: no exact terms on " + info_.name);
 }
 
 std::vector<Complex>
-Session::doAmplitudes(const std::vector<std::uint64_t>&, ResultMeta&)
+Session::doAmplitudes(const std::vector<std::uint64_t>&)
 {
-    unsupported("Amplitudes", "the backend has no per-basis amplitude query");
+    throw std::logic_error("Session: no amplitudes on " + info_.name);
 }
 
 std::vector<double>
-Session::doProbabilities(const std::vector<std::size_t>&, ResultMeta&)
+Session::doProbabilities(const std::vector<std::size_t>&)
 {
-    unsupported("Probabilities",
-                "the backend has no exact outcome distribution");
+    throw std::logic_error("Session: no probabilities on " + info_.name);
 }
 
 double
@@ -329,7 +369,7 @@ Session::sampledExpectation(const PauliSum& observable, std::size_t shots,
             // Zero-shot requests are fine on native-exact paths, but here
             // they would silently return garbage (a 0 "estimate" per term).
             throw std::invalid_argument(
-                "Expectation: backend " + backendName() +
+                "Expectation: backend " + info_.name +
                 " must estimate this observable from samples for the bound "
                 "circuit, but shots == 0");
         }
@@ -348,8 +388,7 @@ Session::sampledExpectation(const PauliSum& observable, std::size_t shots,
         }
         sampled = true;
     }
-    // Set last (a doSample hook above may flag its own draw as exact): the
-    // estimate is exact only if no term actually needed samples.
+    // The estimate is exact only if no term actually needed samples.
     meta.exact = !sampled;
     return total;
 }
@@ -366,32 +405,12 @@ Session::rotatedSession(const PauliString& pauli)
     const Circuit rotated = pauli.withMeasurementBasis(circuit_);
     auto it = rotatedSessions_.find(key);
     if (it == rotatedSessions_.end())
-        it = rotatedSessions_.emplace(key, openAdHoc(rotated)).first;
+        it = rotatedSessions_
+                 .emplace(key, info_.open(info_, rotated, options_))
+                 .first;
     else
         it->second->bind(rotated);
     return *it->second;
-}
-
-void
-Session::unsupported(const char* task, const char* why) const
-{
-    throw std::invalid_argument(std::string("Session::run: backend ") +
-                                backendName_ + " cannot serve " + task +
-                                " for the bound circuit (" + why + ")");
-}
-
-void
-Session::checkObservable(const PauliSum& observable) const
-{
-    if (observable.terms.empty())
-        throw std::invalid_argument("Expectation: empty observable");
-    for (const auto& [coeff, pauli] : observable.terms) {
-        (void)coeff;
-        if (pauli.numQubits() != circuit_.numQubits())
-            throw std::invalid_argument(
-                "Expectation: observable qubit count does not match the "
-                "bound circuit");
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -417,60 +436,99 @@ Backend::runBatch(const std::vector<ParamBinding>& bindings, const Task& task,
 // Registry metadata
 // ---------------------------------------------------------------------------
 
-const std::vector<BackendInfo>&
-backendRegistry()
+const char*
+taskName(std::size_t taskIndex)
 {
-    static const std::vector<BackendInfo> registry = {
-        {"statevector",
-         {"sv"},
-         {"threads", "fuse", "simd", "obs"},
-         "dense 2^n state vector (qsim-style); Kraus trajectories when "
-         "noise is present",
-         "sample; expectation (exact when ideal, sampled under noise); "
-         "amplitudes (ideal); probabilities (ideal)",
-         "parallel lanes (threads option): each lane clones the compiled "
-         "ExecutionPlan and rebinds it per binding"},
-        {"densitymatrix",
-         {"dm"},
-         {"threads", "fuse", "simd", "obs"},
-         "dense 4^n density matrix (Cirq-style); every channel exact",
-         "sample; expectation (exact, ideal and noisy); probabilities "
-         "(exact, ideal and noisy)",
-         "serialized: a 4^n plan + rho per lane would multiply peak memory "
-         "and the superoperator sweeps already parallelize internally"},
-        {"tensornetwork",
-         {"tn"},
-         {"obs"},
-         "qTorch-style tensor-network contraction (ideal circuits only)",
-         "sample; expectation (sampled); amplitudes (exact); probabilities "
-         "(exact marginals by doubled-network contraction)",
-         "serialized: the sampler's per-prefix contraction caches mutate "
-         "during sampling and do not clone cheaply"},
-        {"decisiondiagram",
-         {"dd"},
-         {"threads", "gc", "gcthreshold", "obs"},
-         "QMDD decision diagram (DDSIM-style); Kraus trajectories when "
-         "noise is present; ref-counted mark-and-sweep node GC",
-         "sample; expectation (exact when ideal, via diagram walk); "
-         "amplitudes (ideal); probabilities (ideal)",
-         "parallel lanes (threads option): a private DdPackage (arena, "
-         "unique and compute tables) per lane, garbage-collected between "
-         "batches; a noisy Sample fans its trajectories over per-lane "
-         "packages the same way"},
-        {"knowledgecompilation",
-         {"kc"},
-         {"burnin", "thin", "obs"},
-         "knowledge compilation (this paper): compile once, refresh "
-         "parameter leaves across a variational sweep",
-         "sample (Gibbs); expectation (exact within the query-feasibility "
-         "limit: ideal circuits and diagonal observables under noise; "
-         "Gibbs-sampled beyond it); amplitudes (ideal); probabilities "
-         "(exact, ideal and noisy, within the same limit)",
-         "parallel lanes (QKC_THREADS): one compiled AC per lane (one "
-         "honest compile each, kept for the session), leaf refresh per "
-         "binding"},
+    static const char* const names[] = {"sample", "expectation",
+                                        "amplitudes", "probabilities"};
+    static_assert(std::size(names) == std::variant_size_v<Task>);
+    return names[taskIndex];
+}
+
+namespace {
+
+/** One task's cells as text, e.g. "amplitudes: exact, ideal only". */
+std::string
+describeTask(const BackendInfo& info, std::size_t t)
+{
+    const auto label = [&](Support s) -> std::string {
+        switch (s) {
+          case Support::No: return "not served";
+          case Support::Exact: return "exact";
+          case Support::Sampled: return "sampled";
+          default:
+            return "exact within the " +
+                   std::to_string(info.exactQueryQubits) +
+                   "-qubit query limit";
+        }
     };
-    return registry;
+    const TaskSupport& c = info.tasks[t];
+    std::string cells;
+    if (c.ideal == c.noisy)
+        cells = label(c.ideal) +
+                (c.ideal == Support::No ? "" : ", ideal and noisy");
+    else if (c.noisy == Support::No)
+        cells = label(c.ideal) + ", ideal only";
+    else if (c.ideal == Support::No)
+        cells = label(c.noisy) + ", noisy only";
+    else
+        cells = label(c.ideal) + " ideal, " + label(c.noisy) + " noisy";
+    return std::string(taskName(t)) + ": " + cells;
+}
+
+} // namespace
+
+Support
+BackendInfo::support(const Task& task, const Circuit& circuit) const
+{
+    const TaskSupport& c = tasks[task.index()];
+    return circuit.noiseCount() > 0 ? c.noisy : c.ideal;
+}
+
+std::string
+BackendInfo::refusal(const Task& task, const Circuit& circuit) const
+{
+    const Support cell = support(task, circuit);
+    const char* what = taskName(task.index());
+    if (cell == Support::No)
+        return "backend " + name + " does not serve " + what + " on " +
+               (circuit.noiseCount() > 0 ? "noisy" : "ideal") +
+               " circuits (" + describeTask(*this, task.index()) + ")";
+    if (cell == Support::Limited &&
+        !std::holds_alternative<Expectation>(task) &&
+        !withinQueryLimit(circuit))
+        return "backend " + name + " serves " + what + " only within its " +
+               std::to_string(exactQueryQubits) +
+               "-qubit query limit (2^n outcomes times noise assignments), "
+               "and this circuit is past it";
+    return {};
+}
+
+bool
+BackendInfo::withinQueryLimit(const Circuit& circuit) const
+{
+    // The limit stays far below 2^64 / (Kraus count), so no product wraps.
+    if (circuit.numQubits() > exactQueryQubits)
+        return false;
+    const std::uint64_t limit = std::uint64_t{1} << exactQueryQubits;
+    std::uint64_t passes = std::uint64_t{1} << circuit.numQubits();
+    for (const Operation& op : circuit.operations()) {
+        if (const auto* ch = std::get_if<NoiseChannel>(&op)) {
+            passes *= ch->krausOperators().size();
+            if (passes > limit)
+                return false;
+        }
+    }
+    return true;
+}
+
+std::string
+BackendInfo::tasksText() const
+{
+    std::string out;
+    for (std::size_t t = 0; t < tasks.size(); ++t)
+        out += (t ? "; " : "") + describeTask(*this, t);
+    return out;
 }
 
 const std::vector<std::string>&
@@ -524,6 +582,29 @@ parseOptionString(const std::string& spec, std::string& name)
     return options;
 }
 
+/** An integer option: its range and the BackendOptions field it sets. */
+struct IntOption {
+    const char* key;
+    long min;
+    long max;
+    void (*store)(BackendOptions& options, long value);
+};
+
+/** Every integer key a registry entry may list (simd parses by name). */
+const IntOption kIntOptions[] = {
+    {"threads", 0, LONG_MAX,
+     [](BackendOptions& o, long v) { o.threads = std::size_t(v); }},
+    {"fuse", 0, 1, [](BackendOptions& o, long v) { o.fuse = v == 1; }},
+    {"burnin", 0, LONG_MAX,
+     [](BackendOptions& o, long v) { o.burnIn = std::size_t(v); }},
+    {"thin", 1, LONG_MAX,
+     [](BackendOptions& o, long v) { o.thin = std::size_t(v); }},
+    {"gc", 0, 1, [](BackendOptions& o, long v) { o.gc = v == 1; }},
+    {"gcthreshold", 1, LONG_MAX,
+     [](BackendOptions& o, long v) { o.gcThreshold = std::size_t(v); }},
+    {"obs", 0, 1, [](BackendOptions& o, long v) { o.obs = v == 1; }},
+};
+
 long
 parseIntOption(const std::string& key, const std::string& value)
 {
@@ -538,35 +619,31 @@ parseIntOption(const std::string& key, const std::string& value)
     return v;
 }
 
-const BackendInfo*
-findBackendInfo(const std::string& name)
+} // namespace
+
+const BackendInfo&
+backendInfo(const std::string& name)
 {
     for (const BackendInfo& info : backendRegistry()) {
         if (info.name == name)
-            return &info;
+            return info;
         for (const std::string& alias : info.aliases)
             if (alias == name)
-                return &info;
+                return info;
     }
-    return nullptr;
+    std::string known;
+    for (const std::string& n : backendNames())
+        known += (known.empty() ? "" : ", ") + n;
+    throw std::invalid_argument("makeBackend: unknown backend \"" + name +
+                                "\" (known: " + known + ")");
 }
-
-} // namespace
 
 BackendSpec
 parseBackendSpec(const std::string& spec)
 {
     std::string name;
     OptionMap options = parseOptionString(spec, name);
-
-    const BackendInfo* info = findBackendInfo(name);
-    if (!info) {
-        std::string known;
-        for (const std::string& n : backendNames())
-            known += (known.empty() ? "" : ", ") + n;
-        throw std::invalid_argument("makeBackend: unknown backend \"" + name +
-                                    "\" (known: " + known + ")");
-    }
+    const BackendInfo* info = &backendInfo(name);
 
     BackendSpec result;
     result.name = info->name;
@@ -597,52 +674,21 @@ parseBackendSpec(const std::string& spec)
             result.options.simd = mode;
             continue;
         }
+        const IntOption* rule = nullptr;
+        for (const IntOption& r : kIntOptions)
+            if (key == r.key)
+                rule = &r;
+        if (!rule)
+            throw std::logic_error("parseBackendSpec: registry advertises "
+                                   "option \"" + key +
+                                   "\" but kIntOptions has no rule for it");
         const long v = parseIntOption(key, value);
-        if (key == "threads") {
-            if (v < 0)
-                throw std::invalid_argument(
-                    "makeBackend: option threads must be >= 0 "
-                    "(0 = machine default)");
-            result.options.threads = static_cast<std::size_t>(v);
-        } else if (key == "fuse") {
-            if (v != 0 && v != 1)
-                throw std::invalid_argument(
-                    "makeBackend: option fuse must be 0 or 1");
-            result.options.fuse = v == 1;
-        } else if (key == "burnin") {
-            if (v < 0)
-                throw std::invalid_argument(
-                    "makeBackend: option burnin must be >= 0");
-            result.options.burnIn = static_cast<std::size_t>(v);
-        } else if (key == "thin") {
-            if (v < 1)
-                throw std::invalid_argument(
-                    "makeBackend: option thin must be >= 1");
-            result.options.thin = static_cast<std::size_t>(v);
-        } else if (key == "gc") {
-            if (v != 0 && v != 1)
-                throw std::invalid_argument(
-                    "makeBackend: option gc must be 0 or 1");
-            result.options.gc = v == 1;
-        } else if (key == "obs") {
-            if (v != 0 && v != 1)
-                throw std::invalid_argument(
-                    "makeBackend: option obs must be 0 or 1");
-            result.options.obs = v == 1;
-        } else if (key == "gcthreshold") {
-            if (v < 1)
-                throw std::invalid_argument(
-                    "makeBackend: option gcthreshold must be >= 1 (nodes "
-                    "live before a sweep triggers)");
-            result.options.gcThreshold = static_cast<std::size_t>(v);
-        } else {
-            // A registry optionKey without a dispatch branch would
-            // otherwise be validated, parsed and then silently dropped.
-            throw std::logic_error(
-                "parseBackendSpec: registry advertises option \"" + key +
-                "\" but no dispatch branch stores it — add one here and a "
-                "field in BackendOptions");
-        }
+        if (v < rule->min || v > rule->max)
+            throw std::invalid_argument(
+                "makeBackend: option " + key +
+                (rule->max == 1 ? " must be 0 or 1"
+                                : " must be >= " + std::to_string(rule->min)));
+        rule->store(result.options, v);
     }
     return result;
 }

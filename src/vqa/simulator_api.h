@@ -1,6 +1,7 @@
 #ifndef QKC_VQA_SIMULATOR_API_H
 #define QKC_VQA_SIMULATOR_API_H
 
+#include <array>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -95,30 +96,6 @@ struct BackendSpec {
 BackendSpec parseBackendSpec(const std::string& spec);
 
 // ---------------------------------------------------------------------------
-// Registry metadata
-// ---------------------------------------------------------------------------
-
-/**
- * One registry entry per simulator family. qkc_cli --list-backends and the
- * README capability matrix render straight from this, so help text cannot
- * drift from what parseBackendSpec actually accepts.
- */
-struct BackendInfo {
-    std::string name;                      ///< canonical registry name
-    std::vector<std::string> aliases;      ///< e.g. {"sv"}
-    std::vector<std::string> optionKeys;   ///< keys parseBackendSpec accepts
-    std::string summary;                   ///< one-line cost-profile note
-    std::string tasks;                     ///< which tasks it serves, and how
-    std::string batch;                     ///< runBatch strategy, one line
-};
-
-/** The full registry, in presentation order. */
-const std::vector<BackendInfo>& backendRegistry();
-
-/** The canonical registry names, in presentation order. */
-const std::vector<std::string>& backendNames();
-
-// ---------------------------------------------------------------------------
 // Tasks
 // ---------------------------------------------------------------------------
 
@@ -167,6 +144,74 @@ using Task = std::variant<Sample, Expectation, Amplitudes, Probabilities>;
  * different qubit count throws.)
  */
 using ParamBinding = Circuit;
+
+// ---------------------------------------------------------------------------
+// Registry: each backend's capabilities, declared once
+// ---------------------------------------------------------------------------
+
+class Session;
+
+/** How a backend serves one task, on ideal or on noisy circuits. */
+enum class Support {
+    No,      ///< refused: Session::run throws, admission answers 422
+    Exact,   ///< no Monte-Carlo error
+    Sampled, ///< estimated from samples (Gibbs chains, trajectories, shots)
+    Limited, ///< exact within the backend's query limit (kc)
+};
+
+struct TaskSupport {
+    Support ideal = Support::No;
+    Support noisy = Support::No;
+};
+
+/** The task's wire name: "sample", "expectation", ... (Task order). */
+const char* taskName(std::size_t taskIndex);
+
+/**
+ * One registry entry per simulator family: the single declaration that
+ * parseBackendSpec, Session::run, admission and the registry listings
+ * (qkc_cli --list-backends, /v1/backends) all read.
+ */
+struct BackendInfo {
+    std::string name;                    ///< canonical registry name
+    std::vector<std::string> aliases;    ///< e.g. {"sv"}
+    std::vector<std::string> optionKeys; ///< keys parseBackendSpec accepts
+    std::string summary;                 ///< one-line cost-profile note
+    /** The capability cells, one per Task alternative in Task order. */
+    std::array<TaskSupport, std::variant_size_v<Task>> tasks;
+    /** Dense memory 16 * 2^(denseExponent * n) bytes; 0 = no model. */
+    std::size_t denseExponent = 0;
+    /** Limited cells: at most 2^this passes (2^n x noise assignments). */
+    std::size_t exactQueryQubits = 0;
+    std::string batch; ///< runBatch strategy, one line
+    std::unique_ptr<Session> (*open)(const BackendInfo& info,
+                                     const Circuit& circuit,
+                                     const BackendOptions& options);
+
+    /** The cell serving `task` on `circuit` (its noise picks the column). */
+    Support support(const Task& task, const Circuit& circuit) const;
+
+    /**
+     * Why `task` on `circuit` is refused (a No cell, or a Limited cell past
+     * the limit, where Expectation samples instead), or "" if it is served.
+     */
+    std::string refusal(const Task& task, const Circuit& circuit) const;
+
+    /** Whether an exact query on `circuit` fits exactQueryQubits. */
+    bool withinQueryLimit(const Circuit& circuit) const;
+
+    /** The registry's `tasks` text, rendered from the cells. */
+    std::string tasksText() const;
+};
+
+/** The full registry, in presentation order. */
+const std::vector<BackendInfo>& backendRegistry();
+
+/** The canonical registry names, in presentation order. */
+const std::vector<std::string>& backendNames();
+
+/** The entry for a canonical name or alias; throws on an unknown name. */
+const BackendInfo& backendInfo(const std::string& name);
 
 // ---------------------------------------------------------------------------
 // Results
@@ -310,7 +355,7 @@ class Session {
     Session& operator=(const Session&) = delete;
 
     /** Canonical name of the owning backend. */
-    const std::string& backendName() const { return backendName_; }
+    const std::string& backendName() const { return info_.name; }
 
     /** The currently bound circuit. */
     const Circuit& circuit() const { return circuit_; }
@@ -369,13 +414,14 @@ class Session {
     std::size_t planReuses() const { return planReuses_; }
 
     /** Whether this session collects per-task profiles (the obs option). */
-    bool obsEnabled() const { return obsEnabled_; }
+    bool obsEnabled() const { return options_.obs; }
 
     /** Cached rotated-basis fallback sub-sessions (one per term signature). */
     std::size_t rotatedSessionCount() const { return rotatedSessions_.size(); }
 
   protected:
-    Session(std::string backendName, Circuit circuit);
+    Session(const BackendInfo& info, Circuit circuit,
+            const BackendOptions& options);
 
     /**
      * Backend hook for bind: refresh values for a same-structure circuit
@@ -387,19 +433,14 @@ class Session {
      */
     virtual bool doBind(const Circuit& circuit, bool sameStructure) = 0;
 
+    /** Called by run before and after every task (per-task metadata). */
+    virtual void beginTask() {}
+    virtual void endTask(ResultMeta& meta) { (void)meta; }
+
     virtual std::vector<std::uint64_t> doSample(std::size_t shots, Rng& rng,
                                                 ResultMeta& meta) = 0;
 
-    /**
-     * The one Expectation loop, all or nothing: if exactTerm rejects any
-     * non-identity term the whole sum goes to sampledExpectation; otherwise
-     * meta.exact is set and the sum of coeff * termExpectation is returned.
-     */
-    virtual double doExpectation(const PauliSum& observable,
-                                 std::size_t shots, Rng& rng,
-                                 ResultMeta& meta);
-
-    /** Whether termExpectation serves `pauli` exactly. Default: no (tn). */
+    /** Limited Expectation cells: is `pauli` exact here? Default: yes. */
     virtual bool exactTerm(const PauliString& pauli) const;
 
     /**
@@ -408,28 +449,14 @@ class Session {
      * for the term loop, or nullptr for none. Called only when some term
      * is not the identity. Default: nothing, nullptr.
      */
-    virtual const char* prepareExpectation(ResultMeta& meta);
+    virtual const char* prepareExpectation();
 
-    /** Exact <P> for a non-identity term exactTerm accepted. */
+    /** Exact <P> and payloads; run calls these only on served cells. */
     virtual double termExpectation(const PauliString& pauli);
-
-    /** Default: throws — the backend cannot serve amplitudes. */
     virtual std::vector<Complex> doAmplitudes(
-        const std::vector<std::uint64_t>& bitstrings, ResultMeta& meta);
-
-    /** Default: throws — the backend cannot serve exact probabilities. */
+        const std::vector<std::uint64_t>& bitstrings);
     virtual std::vector<double> doProbabilities(
-        const std::vector<std::size_t>& qubits, ResultMeta& meta);
-
-    /**
-     * Opens a session of this backend family on a structure-modified copy
-     * of the bound circuit (the Expectation fallback appends measurement-
-     * basis rotations). The base class caches one sub-session per rotation
-     * signature and rebinds it across calls, extending the compile-once/
-     * rebind-many discipline to the fallback path; the sub-session's own
-     * metadata accounts the Monte-Carlo cost it incurs.
-     */
-    virtual std::unique_ptr<Session> openAdHoc(const Circuit& rotated) const = 0;
+        const std::vector<std::size_t>& qubits);
 
     /**
      * Batch fan-out hook: a fresh session sharing this one's options whose
@@ -471,24 +498,22 @@ class Session {
      */
     void clearInitialBuild() { planBuilds_ = 0; }
 
-    /** Throws std::invalid_argument naming the backend, task and reason. */
-    [[noreturn]] void unsupported(const char* task, const char* why) const;
-
-    /** Validates an Expectation observable against the bound circuit. */
-    void checkObservable(const PauliSum& observable) const;
-
+    const BackendInfo& info_;
+    const BackendOptions options_;
     Circuit circuit_;
     std::size_t planBuilds_ = 0;
     std::size_t planReuses_ = 0;
 
-    /** Set from BackendOptions::obs by every backend's open/clone path. */
-    bool obsEnabled_ = true;
-
   private:
+    /**
+     * The one Expectation loop, all or nothing: a Sampled cell, a Limited
+     * cell past its limit or a term exactTerm rejects samples the sum.
+     */
+    double expectation(const Expectation& task, Support cell, Rng& rng,
+                       ResultMeta& meta);
+
     /** The cached fallback sub-session for `pauli`'s rotation signature. */
     Session& rotatedSession(const PauliString& pauli);
-
-    std::string backendName_;
 
     /**
      * Rotated-basis fallback sub-sessions, keyed by rotation signature (the
@@ -518,23 +543,30 @@ class Session {
  */
 class Backend {
   public:
+    explicit Backend(const BackendInfo& info, BackendOptions defaults = {})
+        : info_(&info), defaults_(defaults)
+    {
+    }
     virtual ~Backend() = default;
 
     /** Canonical registry name. */
-    virtual std::string name() const = 0;
+    const std::string& name() const { return info_->name; }
 
     /** Opens a session on `circuit` with explicit options. */
-    virtual std::unique_ptr<Session> open(const Circuit& circuit,
-                                          const BackendOptions& options) const = 0;
+    std::unique_ptr<Session> open(const Circuit& circuit,
+                                  const BackendOptions& options) const
+    {
+        return info_->open(*info_, circuit, options);
+    }
 
     /** Opens a session with the backend's configured default options. */
     std::unique_ptr<Session> open(const Circuit& circuit) const
     {
-        return open(circuit, defaults());
+        return open(circuit, defaults_);
     }
 
     /** The options this backend was constructed with (spec string, ctor). */
-    virtual const BackendOptions& defaults() const = 0;
+    const BackendOptions& defaults() const { return defaults_; }
 
     /** Compatibility helper: open(circuit).run(Sample{shots}).samples. */
     std::vector<std::uint64_t> sample(const Circuit& circuit,
@@ -548,6 +580,10 @@ class Backend {
      */
     std::vector<Result> runBatch(const std::vector<ParamBinding>& bindings,
                                  const Task& task, Rng& rng) const;
+
+  private:
+    const BackendInfo* info_;
+    BackendOptions defaults_;
 };
 
 /**

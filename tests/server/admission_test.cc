@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "circuit/circuit.h"
+#include "vqa/backends.h"
 #include "vqa/pauli.h"
 
 namespace qkc {
@@ -67,20 +68,70 @@ TEST(AdmissionTest, KcExactQueriesAreBudgeted)
         admitRequest(spec, ghz(17), Sample{64}, limits).admitted);
     EXPECT_FALSE(
         admitRequest(spec, ghz(17), Probabilities{}, limits).admitted);
-    EXPECT_FALSE(
+    EXPECT_TRUE(
         admitRequest(spec, ghz(17), Amplitudes{{0}}, limits).admitted);
     EXPECT_TRUE(
         admitRequest(spec, ghz(16), Probabilities{}, limits).admitted);
+}
+
+TEST(AdmissionTest, KcAmplitudesPastTheQueryLimitMatchTheStateVector)
+{
+    // kc Amplitudes is one upward AC pass per bitstring, so the exact-query
+    // limit does not apply: a 20-qubit request is admitted and answers the
+    // state vector's amplitudes.
+    const Circuit c = ghz(20);
+    const Amplitudes task{{0, 1, 5, (1u << 20) - 1}};
+    ASSERT_TRUE(
+        admitRequest(parseBackendSpec("kc"), c, task, AdmissionLimits{})
+            .admitted);
+    Rng rng(1);
+    const Result kc = makeBackend("kc")->open(c)->run(task, rng);
+    const Result sv = makeBackend("sv")->open(c)->run(task, rng);
+    EXPECT_TRUE(kc.meta.exact);
+    ASSERT_EQ(kc.amplitudes.size(), sv.amplitudes.size());
+    for (std::size_t i = 0; i < sv.amplitudes.size(); ++i) {
+        EXPECT_NEAR(kc.amplitudes[i].real(), sv.amplitudes[i].real(), 1e-9);
+        EXPECT_NEAR(kc.amplitudes[i].imag(), sv.amplitudes[i].imag(), 1e-9);
+    }
+}
+
+TEST(AdmissionTest, KcNoisyProbabilitiesCountNoiseAssignments)
+{
+    // The limit counts 2^n outcomes times noise assignments, exactly as
+    // the session does: 2 qubits with seven 4-Kraus channels is 2^16
+    // passes (admitted), eight is 2^18 (refused).
+    auto withChannels = [](std::size_t channels) {
+        Circuit c(2);
+        c.h(0).cnot(0, 1);
+        for (std::size_t k = 0; k < channels; ++k)
+            c.append(NoiseChannel::depolarizing(k % 2, 0.01));
+        return c;
+    };
+    const auto spec = parseBackendSpec("kc");
+    EXPECT_TRUE(admitRequest(spec, withChannels(7), Probabilities{},
+                             AdmissionLimits{})
+                    .admitted);
+    const AdmissionVerdict v = admitRequest(spec, withChannels(8),
+                                            Probabilities{}, AdmissionLimits{});
+    EXPECT_FALSE(v.admitted);
+    EXPECT_EQ(v.field, "backend");
 }
 
 TEST(AdmissionTest, TensornetRejectsNoise)
 {
     const auto spec = parseBackendSpec("tn");
     Circuit noisy = ghz(4).withNoiseAfterEachGate(NoiseKind::BitFlip, 0.01);
-    EXPECT_FALSE(admitRequest(spec, noisy, Sample{16}, AdmissionLimits{})
-                     .admitted);
+    const AdmissionVerdict v =
+        admitRequest(spec, noisy, Sample{16}, AdmissionLimits{});
+    EXPECT_FALSE(v.admitted);
     EXPECT_TRUE(admitRequest(spec, ghz(4), Sample{16}, AdmissionLimits{})
                     .admitted);
+    // The refusal is the registry's, under the canonical backend name.
+    EXPECT_EQ(v.field, "backend");
+    EXPECT_NE(v.reason.find("backend tensornetwork does not serve sample on "
+                            "noisy circuits"),
+              std::string::npos)
+        << v.reason;
 }
 
 TEST(AdmissionTest, TaskCapsApplyOnEveryBackend)

@@ -180,6 +180,32 @@ TEST(ServerCoreTest, AdmissionRejectsWith422)
     EXPECT_EQ(parse(r).find("error")->find("field")->asString(), "memory");
 }
 
+TEST(ServerCoreTest, UnservedCellsAnswer422BeforeAnySessionOpens)
+{
+    // Noisy sv amplitudes is a `No` cell in the registry: admission refuses
+    // it, so no session opens and the cache stays empty.
+    ServerCore core;
+    const std::string noisyBell =
+        "OPENQASM 2.0;\\ninclude \\\"qelib1.inc\\\";\\nqreg q[2];\\nh "
+        "q[0];\\n// qkc.noise bitflip 0 0.05\\ncx q[0], q[1];\\n";
+    const HttpResult r = core.handle(
+        "POST", "/v1/run",
+        "{\"backend\":\"sv\",\"qasm\":\"" + noisyBell +
+            "\",\"task\":\"amplitudes\",\"bitstrings\":[0]}");
+    EXPECT_EQ(r.status, 422) << r.body;
+    EXPECT_EQ(errorCode(r), "infeasible");
+    EXPECT_EQ(parse(r).find("error")->find("field")->asString(), "backend");
+    const Json stats = parse(core.handle("GET", "/v1/stats", ""));
+    EXPECT_EQ(stats.find("cache")->find("size")->asUInt64(), 0u);
+
+    // A served cell with a bitstring out of range is still a 400.
+    const HttpResult range = core.handle(
+        "POST", "/v1/run",
+        bellBody(",\"task\":\"amplitudes\",\"bitstrings\":[4]"));
+    EXPECT_EQ(range.status, 400) << range.body;
+    EXPECT_EQ(errorCode(range), "bad_request");
+}
+
 TEST(ServerCoreTest, InflightBoundRejectsWith429)
 {
     // maxInflight = 0: the very first request trips the bound — the
