@@ -71,10 +71,9 @@ class DdPackage {
 
     // -- Memory lifecycle ----------------------------------------------------
 
-    /** Enables/disables the threshold trigger and sets its node count. */
-    void setGc(bool enabled, std::size_t threshold = kDefaultGcThreshold);
+    /** Sets the live-node count that triggers maybeGarbageCollect(). */
+    void setGcThreshold(std::size_t threshold);
 
-    bool gcEnabled() const { return gcEnabled_; }
     std::size_t gcThreshold() const { return gcThreshold_; }
 
     /**
@@ -105,7 +104,7 @@ class DdPackage {
     }
 
     /**
-     * Mark-and-sweep collection (runs regardless of the enabled flag):
+     * Mark-and-sweep collection (runs regardless of the threshold):
      * marks from protected roots and referenced nodes, evicts dead unique-
      * table entries onto the free lists, drops both compute tables and
      * sweeps unreferenced interned weights. Returns nodes collected.
@@ -114,7 +113,7 @@ class DdPackage {
      */
     std::size_t garbageCollect();
 
-    /** Runs garbageCollect() iff enabled and past the threshold. */
+    /** Runs garbageCollect() iff live nodes reached the threshold. */
     bool maybeGarbageCollect();
 
     // -- Construction --------------------------------------------------------
@@ -279,7 +278,6 @@ class DdPackage {
     void notePeak();
 
     std::size_t numQubits_;
-    bool gcEnabled_ = true;
     std::size_t gcThreshold_ = kDefaultGcThreshold;
     std::uint32_t gcGeneration_ = 0; ///< stamp compared against node marks
     ComplexTable weights_;

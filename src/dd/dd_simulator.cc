@@ -9,7 +9,7 @@ DdSimulator::packageFor(const Circuit& circuit)
 {
     if (!pkg_ || pkg_->numQubits() != circuit.numQubits()) {
         pkg_ = std::make_unique<DdPackage>(circuit.numQubits());
-        pkg_->setGc(gc_.enabled, gc_.threshold);
+        pkg_->setGcThreshold(gcThreshold_);
         fixedGateDds_.clear(); // roots died with the old package
     }
     return *pkg_;
@@ -18,7 +18,7 @@ DdSimulator::packageFor(const Circuit& circuit)
 MEdge
 DdSimulator::gateDd(const Gate& gate)
 {
-    if (!gc_.enabled || gate.isParameterized())
+    if (gate.isParameterized())
         return pkg_->makeGateDd(gate.unitary(), gate.qubits());
     const auto key =
         std::make_pair(static_cast<int>(gate.kind()), gate.qubits());
@@ -183,14 +183,7 @@ DdSimulator::sampleNoisy(const Circuit& circuit, std::size_t numSamples,
     std::vector<std::uint64_t> samples;
     samples.reserve(numSamples);
     for (std::size_t s = 0; s < numSamples; ++s) {
-        if (pkg.gcEnabled()) {
-            pkg.maybeGarbageCollect();
-        } else if (s > 0 && s % 128 == 0) {
-            // GC off: nodes are pinned for the package lifetime, but the
-            // memo tables can at least be bounded.
-            pkg.clearComputeTables();
-        }
-
+        pkg.maybeGarbageCollect();
         VEdge state = runTrajectory(circuit, lowered, rng);
         samples.push_back(pkg.sampleOutcome(state, rng));
     }
@@ -208,12 +201,7 @@ DdSimulator::sampleNoisySeeded(const Circuit& circuit,
     std::vector<std::uint64_t> samples;
     samples.reserve(seeds.size());
     for (std::size_t s = 0; s < seeds.size(); ++s) {
-        if (pkg.gcEnabled()) {
-            pkg.maybeGarbageCollect();
-        } else if (s > 0 && s % 128 == 0) {
-            pkg.clearComputeTables();
-        }
-
+        pkg.maybeGarbageCollect();
         Rng trajectoryRng(seeds[s]);
         VEdge state = runTrajectory(circuit, lowered, trajectoryRng);
         samples.push_back(pkg.sampleOutcome(state, trajectoryRng));

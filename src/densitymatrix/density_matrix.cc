@@ -2,6 +2,7 @@
 
 #include <cassert>
 #include <stdexcept>
+#include <variant>
 
 namespace qkc {
 
@@ -34,14 +35,14 @@ DensityMatrix::DensityMatrix(std::size_t numQubits)
     data_[0] = 1.0;
 }
 
-DensityMatrix::SuperKernel
-DensityMatrix::compileSuperKernel(const Matrix& m,
-                                  const std::vector<std::size_t>& qubits,
-                                  std::size_t numQubits)
+std::vector<SuperOperand>
+superOperands(const Operation& op, std::size_t numQubits)
 {
+    const std::vector<std::size_t>& qubits =
+        std::visit([](const auto& o) -> const std::vector<std::size_t>& {
+            return o.qubits();
+        }, op);
     std::vector<std::uint32_t> rowBits, colBits;
-    rowBits.reserve(qubits.size());
-    colBits.reserve(qubits.size());
     for (std::size_t q : qubits) {
         assert(q < numQubits);
         const std::uint32_t s =
@@ -49,93 +50,34 @@ DensityMatrix::compileSuperKernel(const Matrix& m,
         rowBits.push_back(s + static_cast<std::uint32_t>(numQubits));
         colBits.push_back(s);
     }
+
     // (rho M^dagger)(., c) = sum_k rho(., k) conj(M(c, k)): the column-space
     // operator is the elementwise conjugate of M (no transpose).
-    return SuperKernel{compileKernel(m, rowBits),
-                       compileKernel(conjugated(m), colBits)};
-}
+    if (const Gate* g = std::get_if<Gate>(&op))
+        return {{g->unitary(), rowBits}, {conjugated(g->unitary()), colBits}};
 
-bool
-DensityMatrix::tryRefreshSuperKernel(SuperKernel& k, const Matrix& m)
-{
-    return tryRefreshKernel(k.left, m) &&
-           tryRefreshKernel(k.right, conjugated(m));
-}
-
-void
-DensityMatrix::applySuper(const SuperKernel& k)
-{
-    const std::uint64_t flatDim = static_cast<std::uint64_t>(dim_) * dim_;
-    applyKernel(k.left, data_.data(), flatDim, policy_);
-    applyKernel(k.right, data_.data(), flatDim, policy_);
+    // The flattened local index is (row << k) | col, so E rho E^dagger is
+    // E (x) conj(E) on the row bits followed by the column bits.
+    const auto& kraus = std::get<NoiseChannel>(op).krausOperators();
+    Matrix liouville = kraus.front().kron(conjugated(kraus.front()));
+    for (std::size_t i = 1; i < kraus.size(); ++i)
+        liouville = liouville + kraus[i].kron(conjugated(kraus[i]));
+    rowBits.insert(rowBits.end(), colBits.begin(), colBits.end());
+    return {{std::move(liouville), std::move(rowBits)}};
 }
 
 void
-DensityMatrix::applyUnitary(const Matrix& u,
-                            const std::vector<std::size_t>& qubits)
+DensityMatrix::apply(const GateKernel& k)
 {
-    applySuper(compileSuperKernel(u, qubits, numQubits_));
+    applyKernel(k, data_.data(), static_cast<std::uint64_t>(dim_) * dim_,
+                policy_);
 }
 
 void
-DensityMatrix::applyUnitarySingle(const Matrix& u, std::size_t qubit)
+DensityMatrix::apply(const Operation& op)
 {
-    applyUnitary(u, {qubit});
-}
-
-void
-DensityMatrix::applyUnitaryTwo(const Matrix& u, std::size_t q0, std::size_t q1)
-{
-    applyUnitary(u, {q0, q1});
-}
-
-void
-DensityMatrix::applyUnitaryThree(const Matrix& u, std::size_t q0,
-                                 std::size_t q1, std::size_t q2)
-{
-    applyUnitary(u, {q0, q1, q2});
-}
-
-void
-DensityMatrix::applyChannelSingle(const std::vector<Matrix>& kraus,
-                                  std::size_t qubit)
-{
-    applyChannel(kraus, {qubit});
-}
-
-void
-DensityMatrix::applyChannel(const std::vector<Matrix>& kraus,
-                            const std::vector<std::size_t>& qubits)
-{
-    std::vector<SuperKernel> kernels;
-    kernels.reserve(kraus.size());
-    for (const Matrix& e : kraus)
-        kernels.push_back(compileSuperKernel(e, qubits, numQubits_));
-    applyChannelSuper(kernels);
-}
-
-void
-DensityMatrix::applyChannelSuper(const std::vector<SuperKernel>& kraus)
-{
-    const std::uint64_t flatDim = static_cast<std::uint64_t>(dim_) * dim_;
-    AmpVector acc(data_.size(), Complex{});
-    const AmpVector original = data_;
-    for (const SuperKernel& k : kraus) {
-        applySuper(k);
-        parallelFor(policy_, flatDim,
-                    [&](std::uint64_t b, std::uint64_t end) {
-            for (std::uint64_t i = b; i < end; ++i)
-                acc[i] += data_[i];
-        });
-        if (&k != &kraus.back()) {
-            parallelFor(policy_, flatDim,
-                        [&](std::uint64_t b, std::uint64_t end) {
-                for (std::uint64_t i = b; i < end; ++i)
-                    data_[i] = original[i];
-            });
-        }
-    }
-    data_ = std::move(acc);
+    for (const SuperOperand& s : superOperands(op, numQubits_))
+        apply(compileKernel(s.matrix, s.bits));
 }
 
 Complex

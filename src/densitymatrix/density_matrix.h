@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "circuit/circuit.h"
 #include "exec/gate_kernels.h"
 #include "exec/thread_pool.h"
 #include "linalg/aligned.h"
@@ -14,45 +15,35 @@
 namespace qkc {
 
 /**
- * Dense 2^n x 2^n density matrix with local-operator application kernels.
+ * Dense 2^n x 2^n density matrix, evolved by exec gate kernels on its
+ * flattened index space.
  *
  * This is the representation behind the Cirq density-matrix baseline the
  * paper benchmarks in Figure 9: quadratic storage in the state-vector size
  * and matrix-matrix (rather than matrix-vector) update cost, which is why
  * knowledge compilation breaks even at fewer qubits in the noisy case.
  *
- * Superoperator application reuses the exec gate kernels on the flattened
- * index space: rho is stored row-major, so flat(r, c) = r * 2^n + c and the
- * row/column index spaces are just the high/low n bits of a 2n-bit index.
- * U rho = kernel(U) on the high bits; rho U^dagger = kernel(conj(U)) on the
- * low bits. Both sweeps inherit the kernel specialization (a CZ left-apply
- * is a masked sign flip, not a 4x4 multiply) and the shared-pool
- * parallelism, with deterministic chunking.
+ * rho is stored row-major, so flat(r, c) = r * 2^n + c and the row/column
+ * index spaces are the high/low n bits of a 2n-bit index. Every operation
+ * lowers (superOperands) to a short list of kernels on those bits and is
+ * applied in place, one sweep per kernel:
+ *   - a gate U is U on the row bits and conj(U) on the column bits, so both
+ *     sweeps inherit the kernel specialization (a CZ is a masked sign flip);
+ *   - a channel is its Liouville superoperator sum_k E_k (x) conj(E_k) on
+ *     the row and column bits together: one sweep, no temporaries.
  *
  * rho index convention matches Circuit (qubit 0 is the most significant bit
  * of a row/column index).
  */
 class DensityMatrix {
   public:
-    /**
-     * Kernels for one conjugation rho <- M rho M^dagger: `left` acts on the
-     * row bits (flat positions + n), `right` is conj(M) on the column bits.
-     * Compiled once per circuit structure by the dm execution plan (see
-     * densitymatrix_simulator.h) and refreshed in place across parameter
-     * rebinds.
-     */
-    struct SuperKernel {
-        GateKernel left;
-        GateKernel right;
-    };
-
     /** Initializes |0...0><0...0|. */
     explicit DensityMatrix(std::size_t numQubits);
 
     std::size_t numQubits() const { return numQubits_; }
     std::size_t dimension() const { return dim_; }
 
-    /** Threading knobs for every superoperator sweep on this matrix. */
+    /** Threading knobs for every kernel sweep on this matrix. */
     const ExecPolicy& execPolicy() const { return policy_; }
     void setExecPolicy(const ExecPolicy& policy) { policy_ = policy; }
 
@@ -65,48 +56,12 @@ class DensityMatrix {
         return data_[row * dim_ + col];
     }
 
-    /** rho <- U rho U^dagger for a single-qubit unitary on `qubit`. */
-    void applyUnitarySingle(const Matrix& u, std::size_t qubit);
+    /** One sweep of a kernel compiled on flattened-rho bits. */
+    void apply(const GateKernel& k);
 
-    /** rho <- U rho U^dagger for a two-qubit unitary (q0 high, q1 low). */
-    void applyUnitaryTwo(const Matrix& u, std::size_t q0, std::size_t q1);
-
-    /** rho <- U rho U^dagger for a three-qubit unitary. */
-    void applyUnitaryThree(const Matrix& u, std::size_t q0, std::size_t q1,
-                           std::size_t q2);
-
-    /** rho <- U rho U^dagger for a 1-3 qubit unitary. */
-    void applyUnitary(const Matrix& u, const std::vector<std::size_t>& qubits);
-
-    /** rho <- sum_k E_k rho E_k^dagger for a single-qubit channel. */
-    void applyChannelSingle(const std::vector<Matrix>& kraus, std::size_t qubit);
-
-    /** rho <- sum_k E_k rho E_k^dagger for a one- or two-qubit channel. */
-    void applyChannel(const std::vector<Matrix>& kraus,
-                      const std::vector<std::size_t>& qubits);
-
-    /**
-     * Compiles the left/right kernel pair for M acting on `qubits` of an
-     * n-qubit density matrix — the classification work applyUnitary pays
-     * per call, exposed so an execution plan can pay it once per structure.
-     */
-    static SuperKernel compileSuperKernel(const Matrix& m,
-                                          const std::vector<std::size_t>& qubits,
-                                          std::size_t numQubits);
-
-    /**
-     * Refreshes a compiled pair for a new matrix on the same qubits without
-     * re-classification (the variational fast path; see tryRefreshKernel).
-     * Returns false — pair unmodified on the left side only at worst — when
-     * the new matrix no longer fits the stored kernel classes.
-     */
-    static bool tryRefreshSuperKernel(SuperKernel& k, const Matrix& m);
-
-    /** rho <- M rho M^dagger via a precompiled pair. */
-    void applySuper(const SuperKernel& k);
-
-    /** rho <- sum_k E_k rho E_k^dagger via precompiled pairs. */
-    void applyChannelSuper(const std::vector<SuperKernel>& kraus);
+    /** rho <- U rho U^dagger for a gate, sum_k E_k rho E_k^dagger for a
+     *  channel: lowers the op (superOperands) and applies its kernels. */
+    void apply(const Operation& op);
 
     /** Tr(rho). */
     Complex trace() const;
@@ -123,6 +78,24 @@ class DensityMatrix {
     AmpVector data_; ///< row-major rho, 64-byte aligned like every amp buffer
     ExecPolicy policy_;
 };
+
+/** A matrix and the flattened-rho bit positions it acts on (local MSB
+ *  first), ready for compileKernel. */
+struct SuperOperand {
+    Matrix matrix;
+    std::vector<std::uint32_t> bits;
+};
+
+/**
+ * Lowers `op` on an n-qubit density matrix to the operands whose kernels,
+ * applied in order, perform it: (U on the row bits, conj(U) on the column
+ * bits) for a gate, and the single Liouville superoperator
+ * sum_k E_k (x) conj(E_k) on (row bits, column bits) for a channel — a 4x4
+ * on two bits for a one-qubit channel, a 16x16 on four bits for a
+ * two-qubit one.
+ */
+std::vector<SuperOperand> superOperands(const Operation& op,
+                                        std::size_t numQubits);
 
 } // namespace qkc
 

@@ -27,20 +27,9 @@ planCircuitDm(const Circuit& circuit, const ExecPolicy& policy)
     const auto& ops = plan.circuit.operations();
     plan.ops.reserve(ops.size());
     for (std::size_t i = 0; i < ops.size(); ++i) {
-        DmPlannedOp p;
-        p.opIndex = i;
-        if (const Gate* g = std::get_if<Gate>(&ops[i])) {
-            p.gate = DensityMatrix::compileSuperKernel(g->unitary(),
-                                                       g->qubits(),
-                                                       plan.numQubits);
-        } else {
-            const auto& ch = std::get<NoiseChannel>(ops[i]);
-            p.isChannel = true;
-            p.kraus.reserve(ch.krausOperators().size());
-            for (const Matrix& e : ch.krausOperators())
-                p.kraus.push_back(DensityMatrix::compileSuperKernel(
-                    e, ch.qubits(), plan.numQubits));
-        }
+        DmPlannedOp p{i, {}};
+        for (const SuperOperand& s : superOperands(ops[i], plan.numQubits))
+            p.kernels.push_back(compileKernel(s.matrix, s.bits));
         plan.ops.push_back(std::move(p));
     }
     return plan;
@@ -67,21 +56,13 @@ tryRebindDmPlan(DmExecutionPlan& plan, const Circuit& circuit)
     }
 
     for (DmPlannedOp& op : plan.ops) {
-        const Operation& o = plan.circuit.operations()[op.opIndex];
-        if (op.isChannel) {
-            const auto* ch = std::get_if<NoiseChannel>(&o);
-            if (!ch || ch->krausOperators().size() != op.kraus.size())
+        const std::vector<SuperOperand> operands = superOperands(
+            plan.circuit.operations()[op.opIndex], plan.numQubits);
+        if (operands.size() != op.kernels.size())
+            return false;
+        for (std::size_t k = 0; k < operands.size(); ++k)
+            if (!tryRefreshKernel(op.kernels[k], operands[k].matrix))
                 return false;
-            for (std::size_t k = 0; k < op.kraus.size(); ++k)
-                if (!DensityMatrix::tryRefreshSuperKernel(
-                        op.kraus[k], ch->krausOperators()[k]))
-                    return false;
-        } else {
-            const Gate* g = std::get_if<Gate>(&o);
-            if (!g || !DensityMatrix::tryRefreshSuperKernel(op.gate,
-                                                            g->unitary()))
-                return false;
-        }
     }
     return true;
 }
@@ -97,12 +78,9 @@ DensityMatrixSimulator::simulatePlanned(const DmExecutionPlan& plan) const
 {
     DensityMatrix rho(plan.numQubits);
     rho.setExecPolicy(policy_);
-    for (const auto& op : plan.ops) {
-        if (op.isChannel)
-            rho.applyChannelSuper(op.kraus);
-        else
-            rho.applySuper(op.gate);
-    }
+    for (const DmPlannedOp& op : plan.ops)
+        for (const GateKernel& k : op.kernels)
+            rho.apply(k);
     return rho;
 }
 

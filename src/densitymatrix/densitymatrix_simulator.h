@@ -13,24 +13,23 @@
 namespace qkc {
 
 /**
- * One circuit operation lowered for superoperator execution: a left/right
- * kernel pair per gate, or one pair per Kraus operator for a channel.
- * `opIndex` refers into the owning plan's (possibly fused) circuit.
+ * One circuit operation lowered for density-matrix execution: the kernels
+ * of its superOperands, applied in order — two for a gate (row and column
+ * side), one Liouville kernel for a channel. `opIndex` refers into the
+ * owning plan's (possibly fused) circuit.
  */
 struct DmPlannedOp {
     std::size_t opIndex = 0;
-    bool isChannel = false;
-    DensityMatrix::SuperKernel gate;               ///< valid when !isChannel
-    std::vector<DensityMatrix::SuperKernel> kraus; ///< valid when isChannel
+    std::vector<GateKernel> kernels;
 };
 
 /**
  * A circuit prepared for repeated density-matrix execution — the dm
  * counterpart of exec's ExecutionPlan: fusion has run (if the policy asks
- * for it) and every gate and Kraus matrix has been classified into its
- * left/right superoperator kernel pair exactly once. A session holds one of
- * these per circuit structure and refreshes it across parameter rebinds, so
- * its planReuses metadata corresponds to classification work actually saved.
+ * for it) and every operation has been lowered and classified into its
+ * kernel list exactly once. A session holds one of these per circuit
+ * structure and refreshes it across parameter rebinds, so its planReuses
+ * metadata corresponds to classification work actually saved.
  */
 struct DmExecutionPlan {
     std::size_t numQubits = 0;
@@ -41,13 +40,14 @@ struct DmExecutionPlan {
     FusionRecipe recipe;      ///< valid when fusionEnabled
 };
 
-/** Builds the superoperator plan for `circuit` under `policy`. */
+/** Builds the kernel plan for `circuit` under `policy`. */
 DmExecutionPlan planCircuitDm(const Circuit& circuit, const ExecPolicy& policy);
 
 /**
  * Rebinds `plan` to a same-structure circuit (the variational fast path):
- * replays the recorded fusion recipe on the new gate values and refreshes
- * every kernel pair in place — no greedy fusion pass, no re-classification.
+ * replays the recorded fusion recipe on the new gate values, lowers every
+ * operation again and refreshes its kernels in place — no greedy fusion
+ * pass, no re-classification.
  * Returns false when the structure differs, a fused product crossed the
  * identity boundary, or a parameter change invalidated a stored kernel
  * class; the plan may then be partially refreshed and the caller must
@@ -58,11 +58,12 @@ bool tryRebindDmPlan(DmExecutionPlan& plan, const Circuit& circuit);
 /**
  * Density matrix circuit simulator — the stand-in for the Cirq
  * density-matrix baseline in the paper's noisy-circuit evaluation
- * (Figure 9). Handles arbitrary mixtures and channels exactly.
+ * (Figure 9). Handles arbitrary mixtures and channels exactly, each as one
+ * superoperator sweep over rho, the way such a simulator applies them.
  *
  * Gate fusion and the shared-thread-pool kernels apply here exactly as in
  * the state-vector engine: the ExecPolicy is forwarded to DensityMatrix,
- * whose superoperator sweeps run on the flattened 2n-bit index space.
+ * whose kernel sweeps run on the flattened 2n-bit index space.
  */
 class DensityMatrixSimulator {
   public:

@@ -140,8 +140,8 @@ GateKernel::className() const
 GateKernel
 compileKernel(const Matrix& m, const std::vector<std::uint32_t>& bits)
 {
-    if (bits.empty() || bits.size() > 3)
-        throw std::invalid_argument("compileKernel: arity must be 1..3");
+    if (bits.empty() || bits.size() > 4)
+        throw std::invalid_argument("compileKernel: arity must be 1..4");
     const std::size_t a = bits.size();
     const std::size_t dim = std::size_t{1} << a;
     if (m.rows() != dim || m.cols() != dim)
@@ -221,7 +221,7 @@ compileKernel(const Matrix& m, const std::vector<std::uint32_t>& bits)
 
     // Weighted permutation: exactly one non-zero per row and per column.
     bool isPerm = t > 0;
-    std::array<bool, 8> colUsed{};
+    std::array<bool, 16> colUsed{};
     for (std::size_t r = 0; r < td && isPerm; ++r) {
         std::size_t found = td;
         for (std::size_t c = 0; c < td; ++c) {
@@ -453,13 +453,13 @@ gatherSweep(const GateKernel& k, Complex* amps, std::uint64_t dim,
     const unsigned t = k.targets;
     const unsigned td = 1u << t;
     const std::uint64_t nFree = dim >> k.occupiedCount;
-    std::uint64_t stride[3] = {0, 0, 0};
+    std::uint64_t stride[4] = {0, 0, 0, 0};
     for (unsigned j = 0; j < t; ++j)
         stride[j] = std::uint64_t{1} << k.targetBits[j];
 
     switch (k.op) {
       case GateKernel::Op::Diag: {
-        std::array<Complex, 8> d;
+        std::array<Complex, 16> d;
         for (unsigned l = 0; l < td; ++l)
             d[l] = k.diag[l] * preScale;
         parallelFor(policy, nFree, [&](std::uint64_t b, std::uint64_t e) {
@@ -467,7 +467,7 @@ gatherSweep(const GateKernel& k, Complex* amps, std::uint64_t dim,
                 const std::uint64_t base =
                     expandBase(j, k.occupied.data(), k.occupiedCount,
                                k.ctrlMask);
-                std::uint64_t idx[8];
+                std::uint64_t idx[16];
                 gatherIndices(base, stride, t, idx);
                 for (unsigned l = 0; l < td; ++l)
                     amps[idx[l]] = cmul(amps[idx[l]], d[l]);
@@ -476,7 +476,7 @@ gatherSweep(const GateKernel& k, Complex* amps, std::uint64_t dim,
         return;
       }
       case GateKernel::Op::Perm: {
-        std::array<Complex, 8> pw;
+        std::array<Complex, 16> pw;
         for (unsigned l = 0; l < td; ++l)
             pw[l] = k.permW[l] * preScale;
         parallelFor(policy, nFree, [&](std::uint64_t b, std::uint64_t e) {
@@ -484,9 +484,9 @@ gatherSweep(const GateKernel& k, Complex* amps, std::uint64_t dim,
                 const std::uint64_t base =
                     expandBase(j, k.occupied.data(), k.occupiedCount,
                                k.ctrlMask);
-                std::uint64_t idx[8];
+                std::uint64_t idx[16];
                 gatherIndices(base, stride, t, idx);
-                Complex in[8];
+                Complex in[16];
                 for (unsigned l = 0; l < td; ++l)
                     in[l] = amps[idx[l]];
                 for (unsigned r = 0; r < td; ++r)
@@ -496,7 +496,7 @@ gatherSweep(const GateKernel& k, Complex* amps, std::uint64_t dim,
         return;
       }
       case GateKernel::Op::Generic: {
-        std::array<Complex, 64> rm;
+        std::array<Complex, 256> rm;
         for (unsigned r = 0; r < td; ++r)
             for (unsigned c = 0; c < td; ++c)
                 rm[r * td + c] = k.reduced(r, c) * preScale;
@@ -505,9 +505,9 @@ gatherSweep(const GateKernel& k, Complex* amps, std::uint64_t dim,
                 const std::uint64_t base =
                     expandBase(j, k.occupied.data(), k.occupiedCount,
                                k.ctrlMask);
-                std::uint64_t idx[8];
+                std::uint64_t idx[16];
                 gatherIndices(base, stride, t, idx);
-                Complex in[8], out[8];
+                Complex in[16], out[16];
                 for (unsigned l = 0; l < td; ++l)
                     in[l] = amps[idx[l]];
                 for (unsigned r = 0; r < td; ++r) {
@@ -544,7 +544,7 @@ blockedSweep(const GateKernel& k, Complex* amps, std::uint64_t dim,
 {
     const unsigned t = k.targets;
     const std::uint64_t nFree = dim >> k.occupiedCount;
-    std::uint64_t stride[3] = {0, 0, 0};
+    std::uint64_t stride[4] = {0, 0, 0, 0};
     for (unsigned j = 0; j < t; ++j)
         stride[j] = std::uint64_t{1} << k.targetBits[j];
 
@@ -716,8 +716,8 @@ normAfterKernel(const GateKernel& k, const Complex* amps, std::uint64_t dim,
     const unsigned a = k.arity;
     const unsigned ad = 1u << a;
     const std::uint64_t nGroups = dim >> a;
-    std::uint64_t stride[3] = {0, 0, 0};
-    std::uint32_t occ[3] = {0, 0, 0};
+    std::uint64_t stride[4] = {0, 0, 0, 0};
+    std::uint32_t occ[4] = {0, 0, 0, 0};
     for (unsigned j = 0; j < a; ++j) {
         stride[j] = std::uint64_t{1} << k.fullBits[j];
         occ[j] = k.fullBits[j];
@@ -729,9 +729,9 @@ normAfterKernel(const GateKernel& k, const Complex* amps, std::uint64_t dim,
         double partial = 0.0;
         for (std::uint64_t j = b; j < e; ++j) {
             const std::uint64_t base = expandBase(j, occ, a, 0);
-            std::uint64_t idx[8];
+            std::uint64_t idx[16];
             gatherIndices(base, stride, a, idx);
-            Complex in[8];
+            Complex in[16];
             for (unsigned l = 0; l < ad; ++l)
                 in[l] = amps[idx[l]];
             for (unsigned r = 0; r < ad; ++r) {
@@ -751,8 +751,8 @@ applyKernelReference(const GateKernel& k, Complex* amps, std::uint64_t dim)
     const unsigned a = k.arity;
     const unsigned ad = 1u << a;
     const std::uint64_t nGroups = dim >> a;
-    std::uint64_t stride[3] = {0, 0, 0};
-    std::uint32_t occ[3] = {0, 0, 0};
+    std::uint64_t stride[4] = {0, 0, 0, 0};
+    std::uint32_t occ[4] = {0, 0, 0, 0};
     for (unsigned j = 0; j < a; ++j) {
         stride[j] = std::uint64_t{1} << k.fullBits[j];
         occ[j] = k.fullBits[j];
@@ -761,9 +761,9 @@ applyKernelReference(const GateKernel& k, Complex* amps, std::uint64_t dim)
 
     for (std::uint64_t j = 0; j < nGroups; ++j) {
         const std::uint64_t base = expandBase(j, occ, a, 0);
-        std::uint64_t idx[8];
+        std::uint64_t idx[16];
         gatherIndices(base, stride, a, idx);
-        Complex in[8], out[8];
+        Complex in[16], out[16];
         for (unsigned l = 0; l < ad; ++l)
             in[l] = amps[idx[l]];
         for (unsigned r = 0; r < ad; ++r) {

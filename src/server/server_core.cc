@@ -129,7 +129,6 @@ class InflightGuard {
 struct ParsedRequest {
     std::string specString;
     BackendSpec spec;
-    std::string taskName;
     Task task;
     std::vector<ParamBinding> bindings;
     std::vector<std::uint64_t> seeds;
@@ -153,11 +152,11 @@ asCount(const Json& v, const char* what)
 std::string
 taskSignature(const Task& task)
 {
-    std::string sig;
+    std::string sig = std::string(taskName(task.index())) + ":";
     if (const auto* s = std::get_if<Sample>(&task)) {
-        sig = "sample:" + std::to_string(s->shots);
+        sig += std::to_string(s->shots);
     } else if (const auto* e = std::get_if<Expectation>(&task)) {
-        sig = "expectation:" + std::to_string(e->shots);
+        sig += std::to_string(e->shots);
         for (const auto& [coeff, pauli] : e->observable.terms) {
             char buf[32];
             std::snprintf(buf, sizeof(buf), "%.17g", coeff);
@@ -166,16 +165,39 @@ taskSignature(const Task& task)
             sig += "*" + pauli.text();
         }
     } else if (const auto* a = std::get_if<Amplitudes>(&task)) {
-        sig = "amplitudes:";
         for (std::uint64_t b : a->bitstrings)
             sig += std::to_string(b) + ",";
     } else {
-        const auto& p = std::get<Probabilities>(task);
-        sig = "probabilities:";
-        for (std::size_t q : p.qubits)
+        for (std::size_t q : std::get<Probabilities>(task).qubits)
             sig += std::to_string(q) + ",";
     }
     return sig;
+}
+
+/** The default-constructed Task alternative at `index`. */
+template <std::size_t I = 0>
+Task
+taskAt(std::size_t index)
+{
+    if constexpr (I + 1 < std::variant_size_v<Task>) {
+        if (index != I)
+            return taskAt<I + 1>(index);
+    }
+    return std::variant_alternative_t<I, Task>{};
+}
+
+/** The Task alternative whose wire name (taskName) is `name`. */
+Task
+taskNamed(const std::string& name)
+{
+    std::string expected;
+    for (std::size_t i = 0; i < std::variant_size_v<Task>; ++i) {
+        if (name == taskName(i))
+            return taskAt(i);
+        expected += (i ? ", " : "") + std::string(taskName(i));
+    }
+    throw JsonError("json: unknown task \"" + name + "\" (expected " +
+                    expected + ")");
 }
 
 ParsedRequest
@@ -208,19 +230,14 @@ parseRequest(const Json& doc, const ServerConfig& config)
         throw JsonError("json: missing required field \"qasm\"");
     Circuit circuit = parseQasm(qasm->asString(), config.qasm);
 
-    req.taskName = "sample";
-    if (const Json* t = doc.find("task"))
-        req.taskName = t->asString();
-
-    if (req.taskName == "sample") {
-        Sample s;
+    const Json* name = doc.find("task");
+    req.task = taskNamed(name ? name->asString() : taskName(0));
+    if (auto* s = std::get_if<Sample>(&req.task)) {
         if (const Json* shots = doc.find("shots"))
-            s.shots = asCount(*shots, "shots");
-        req.task = s;
-    } else if (req.taskName == "expectation") {
-        Expectation e;
+            s->shots = asCount(*shots, "shots");
+    } else if (auto* e = std::get_if<Expectation>(&req.task)) {
         if (const Json* shots = doc.find("shots"))
-            e.shots = asCount(*shots, "shots");
+            e->shots = asCount(*shots, "shots");
         const Json* obs = doc.find("observable");
         if (!obs)
             throw JsonError(
@@ -230,29 +247,20 @@ parseRequest(const Json& doc, const ServerConfig& config)
             if (!term.isArray() || term.size() != 2)
                 throw JsonError(
                     "json: each observable term must be [coeff, \"PAULIS\"]");
-            e.observable.add(term.at(0).asDouble(),
-                             PauliString(term.at(1).asString()));
+            e->observable.add(term.at(0).asDouble(),
+                              PauliString(term.at(1).asString()));
         }
-        req.task = std::move(e);
-    } else if (req.taskName == "amplitudes") {
-        Amplitudes a;
+    } else if (auto* a = std::get_if<Amplitudes>(&req.task)) {
         const Json* bits = doc.find("bitstrings");
         if (!bits)
             throw JsonError(
                 "json: amplitudes requires \"bitstrings\": [index, ...]");
         for (const Json& b : bits->items())
-            a.bitstrings.push_back(b.asUInt64());
-        req.task = std::move(a);
-    } else if (req.taskName == "probabilities") {
-        Probabilities p;
-        if (const Json* qs = doc.find("qubits"))
-            for (const Json& q : qs->items())
-                p.qubits.push_back(asCount(q, "qubit"));
-        req.task = std::move(p);
-    } else {
-        throw JsonError("json: unknown task \"" + req.taskName +
-                        "\" (expected sample, expectation, amplitudes or "
-                        "probabilities)");
+            a->bitstrings.push_back(b.asUInt64());
+    } else if (const Json* qs = doc.find("qubits")) {
+        for (const Json& q : qs->items())
+            std::get<Probabilities>(req.task).qubits.push_back(
+                asCount(q, "qubit"));
     }
 
     std::uint64_t seed = 0;
@@ -299,17 +307,17 @@ parseRequest(const Json& doc, const ServerConfig& config)
 // ---------------------------------------------------------------------------
 
 Json
-renderResult(const Result& r, const std::string& taskName)
+renderResult(const Result& r, const Task& task)
 {
     Json out = Json::object();
-    if (taskName == "sample") {
+    if (std::holds_alternative<Sample>(task)) {
         Json samples = Json::array();
         for (std::uint64_t s : r.samples)
             samples.push(Json(s));
         out.set("samples", std::move(samples));
-    } else if (taskName == "expectation") {
+    } else if (std::holds_alternative<Expectation>(task)) {
         out.set("expectation", Json(r.expectation));
-    } else if (taskName == "amplitudes") {
+    } else if (std::holds_alternative<Amplitudes>(task)) {
         Json amps = Json::array();
         for (const Complex& a : r.amplitudes) {
             Json pair = Json::array();
@@ -457,13 +465,13 @@ ServerCore::runRequest(const std::string& body)
 
     Json out = Json::object();
     out.set("backend", req.spec.name);
-    out.set("task", req.taskName);
+    out.set("task", taskName(req.task.index()));
     out.set("cacheHit", Json(hit));
     out.set("coalesced", Json(static_cast<std::uint64_t>(waiter->batchWidth)));
     out.set("queueWaitNanos", Json(waiter->waitNanos));
     Json results = Json::array();
     for (const Result& r : waiter->results)
-        results.push(renderResult(r, req.taskName));
+        results.push(renderResult(r, req.task));
     out.set("results", std::move(results));
     return {200, out.dump()};
 }

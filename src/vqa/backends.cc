@@ -177,21 +177,21 @@ class DmSession final : public Session {
     }
 
   protected:
-    // cloneForBatch stays at the serializing default: a second 4^n
-    // superoperator plan (and a second 4^n rho in flight) per lane would
-    // multiply peak memory for sweeps that the dense kernels already
-    // parallelize internally via the shared pool, so a batched dm task
-    // gains little from lane fan-out. runBatch therefore binds and runs on
-    // this session in batch order — still one plan, rebound per binding.
+    // cloneForBatch stays at the serializing default: a second 4^n rho in
+    // flight per lane would multiply peak memory for sweeps that the dense
+    // kernels already parallelize internally via the shared pool, so a
+    // batched dm task gains little from lane fan-out. runBatch therefore
+    // binds and runs on this session in batch order — still one plan,
+    // rebound per binding.
 
     bool doBind(const Circuit& circuit, bool sameStructure) override
     {
         rho_.reset();
         probs_.reset();
         // Same structure: replay the recorded fusion recipe on the new
-        // values and refresh every superoperator kernel pair in place — no
-        // greedy pass, no re-classification (this is what planReuses now
-        // certifies; the old session re-ran both inside every ensureRho).
+        // values and refresh each op's kernel list (a gate's row and column
+        // kernels, a channel's Liouville kernel) in place — no greedy pass,
+        // no re-classification; planReuses counts exactly these binds.
         if (sameStructure && tryRebindDmPlan(plan_, circuit))
             return true;
         plan_ = planCircuitDm(circuit, policy_);
@@ -363,17 +363,11 @@ class TnSession final : public Session {
 // Decision diagram
 // ---------------------------------------------------------------------------
 
-DdGcOptions
-ddGcOptions(const BackendOptions& options)
-{
-    return DdGcOptions{options.gc, options.gcThreshold};
-}
-
 class DdSession final : public Session {
   public:
     DdSession(const BackendInfo& info, const Circuit& circuit,
               const BackendOptions& options)
-        : Session(info, circuit, options), sim_(ddGcOptions(options))
+        : Session(info, circuit, options), sim_(options.gcThreshold)
     {
     }
 
@@ -396,10 +390,6 @@ class DdSession final : public Session {
         // the point of a persistent lane — but drop the last binding's
         // state and collect it now: an idle lane pins only its live
         // diagram structure between batches, not a dead state per thread.
-        if (!options_.gc) {
-            dropCaches();
-            return;
-        }
         releaseState();
         if (sim_.hasPackage())
             sim_.package().garbageCollect();
@@ -410,15 +400,7 @@ class DdSession final : public Session {
     bool doBind(const Circuit& circuit, bool sameStructure) override
     {
         (void)circuit;
-        if (!options_.gc) {
-            // Legacy lifecycle (gc=0): the arena pins every node for the
-            // package lifetime, so carrying one package across a
-            // variational sweep would grow node memory linearly in binds —
-            // rebuild the world instead.
-            dropCaches();
-            return false;
-        }
-        // GC on: the package survives the bind — arena capacity, table
+        // The package survives the bind — arena capacity, table
         // buckets, free lists and cached Pauli-term DDs all stay warm.
         // The old state is unrooted and collected NOW, not lazily: weight
         // interning snaps to existing entries within tolerance, so results
@@ -548,7 +530,7 @@ class DdSession final : public Session {
         std::vector<DdSimulator> laneSims;
         laneSims.reserve(lanes);
         for (std::size_t l = 0; l < lanes; ++l)
-            laneSims.emplace_back(ddGcOptions(options_));
+            laneSims.emplace_back(options_.gcThreshold);
 
         // Same exception containment as runBatch: nothing may unwind
         // through the pool; the lowest chunk's error is rethrown.
@@ -608,28 +590,19 @@ class DdSession final : public Session {
     {
         if (built_)
             return;
-        if (options_.gc && sim_.hasPackage())
+        if (sim_.hasPackage())
             sim_.package().maybeGarbageCollect();
         QKC_SPAN("dd.build");
         state_ = sim_.simulate(circuit_);
-        if (options_.gc)
-            sim_.package().protect(state_);
+        sim_.package().protect(state_);
         built_ = true;
     }
 
-    /** Unroots the bound state (GC path); the next task rebuilds lazily. */
+    /** Unroots the bound state; the next task rebuilds lazily. */
     void releaseState()
     {
-        if (built_ && options_.gc && sim_.hasPackage())
+        if (built_ && sim_.hasPackage())
             sim_.package().unprotect(state_);
-        built_ = false;
-    }
-
-    /** Legacy (gc=0) teardown: fresh package, term-DD cache dies with it. */
-    void dropCaches()
-    {
-        sim_ = DdSimulator(ddGcOptions(options_));
-        termDds_.clear();
         built_ = false;
     }
 
@@ -645,8 +618,7 @@ class DdSession final : public Session {
         auto it = termDds_.find(key);
         if (it == termDds_.end()) {
             const MEdge dd = sim_.package().makePauliDd(key);
-            if (options_.gc)
-                sim_.package().protect(dd);
+            sim_.package().protect(dd);
             it = termDds_.emplace(key, dd).first;
         }
         return it->second;
@@ -845,8 +817,8 @@ backendRegistry()
          "dense 4^n density matrix (Cirq-style); every channel exact",
          {{{Exact, Exact}, {Exact, Exact}, {No, No}, {Exact, Exact}}},
          2, 0,
-         "serialized: a 4^n plan + rho per lane would multiply peak memory "
-         "and the superoperator sweeps already parallelize internally",
+         "serialized: a 4^n rho per lane would multiply peak memory and "
+         "the kernel sweeps already parallelize internally",
          &openSession<DmSession>},
         {"tensornetwork",
          {"tn"},
@@ -860,7 +832,7 @@ backendRegistry()
          &openSession<TnSession>},
         {"decisiondiagram",
          {"dd"},
-         {"threads", "gc", "gcthreshold", "obs"},
+         {"threads", "gcthreshold", "obs"},
          "QMDD decision diagram (DDSIM-style); Kraus trajectories when "
          "noise is present; ref-counted mark-and-sweep node GC",
          {{{Exact, Sampled}, {Exact, Sampled}, {Exact, No}, {Exact, No}}},

@@ -599,7 +599,6 @@ const IntOption kIntOptions[] = {
      [](BackendOptions& o, long v) { o.burnIn = std::size_t(v); }},
     {"thin", 1, LONG_MAX,
      [](BackendOptions& o, long v) { o.thin = std::size_t(v); }},
-    {"gc", 0, 1, [](BackendOptions& o, long v) { o.gc = v == 1; }},
     {"gcthreshold", 1, LONG_MAX,
      [](BackendOptions& o, long v) { o.gcThreshold = std::size_t(v); }},
     {"obs", 0, 1, [](BackendOptions& o, long v) { o.obs = v == 1; }},

@@ -62,14 +62,10 @@ struct BackendOptions {
     std::size_t thin = 1;
 
     /**
-     * Diagram garbage collection (dd). On (the default), the session keeps
-     * one DdPackage across parameter binds and trajectories, collecting
-     * dead nodes at safe points; off restores the old rebuild-the-world
-     * lifecycle (fresh package per bind, nodes pinned until then).
+     * Live-node count that triggers a diagram collection, >= 1 (dd). The
+     * session keeps one DdPackage across parameter binds and trajectories
+     * and collects dead nodes at safe points once this many are live.
      */
-    bool gc = true;
-
-    /** Live-node count that triggers a collection, >= 1 (dd). */
     std::size_t gcThreshold = 1u << 16;
 
     /**
@@ -464,7 +460,7 @@ class Session {
      * representation allows it. Returning nullptr (the default) serializes
      * runBatch on the session itself — the documented strategy for backends
      * whose cache is too large or too entangled to clone (dm: a second 4^n
-     * plan per lane buys little when the superoperator sweeps already
+     * rho per lane buys little when the kernel sweeps already
      * parallelize internally; tn: the sampler's per-prefix contraction
      * caches mutate during sampling).
      */

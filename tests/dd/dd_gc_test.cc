@@ -182,8 +182,7 @@ TEST(DdGcTest, SweepReclaimsInternedWeights)
 TEST(DdGcTest, ThresholdTriggerAndKnobValidation)
 {
     DdPackage pkg(4);
-    pkg.setGc(true, 4);
-    EXPECT_TRUE(pkg.gcEnabled());
+    pkg.setGcThreshold(4);
     EXPECT_EQ(pkg.gcThreshold(), 4u);
 
     VEdge ghz = makeGhz(pkg, 4); // well past 4 live nodes
@@ -191,11 +190,7 @@ TEST(DdGcTest, ThresholdTriggerAndKnobValidation)
     EXPECT_EQ(pkg.stats().gcRuns, 1u);
     (void)ghz; // dead after the sweep by design
 
-    pkg.setGc(false);
-    EXPECT_FALSE(pkg.maybeGarbageCollect());
-    EXPECT_EQ(pkg.stats().gcRuns, 1u);
-
-    EXPECT_THROW(pkg.setGc(true, 0), std::invalid_argument);
+    EXPECT_THROW(pkg.setGcThreshold(0), std::invalid_argument);
 }
 
 // ---------------------------------------------------------------------------
@@ -217,6 +212,9 @@ layeredAnsatz(std::size_t n, double theta)
     return c;
 }
 
+/** A collection threshold (2^30 live nodes) these tests never reach. */
+const char* const kNeverCollect = "dd:gcthreshold=1073741824";
+
 /** Runs one task on a fresh session of `spec` with a fixed-seed RNG. */
 Result
 runOnce(const std::string& spec, const Circuit& c, const Task& task,
@@ -231,23 +229,26 @@ runOnce(const std::string& spec, const Circuit& c, const Task& task,
 TEST(DdGcTest, AggressiveGcSamplingIsBitIdenticalToGcOff)
 {
     // gcthreshold=1 collects at every safe point; payloads must not move a
-    // bit relative to the legacy gc=0 lifecycle, ideal and noisy alike.
+    // bit relative to a threshold these runs never reach (no collection
+    // but the per-bind sweep), ideal and noisy alike.
     const Circuit ideal = layeredAnsatz(5, 0.3);
     const Circuit noisy =
         layeredAnsatz(4, 0.7).withNoiseAfterEachGate(NoiseKind::Depolarizing,
                                                      0.02);
     for (std::uint64_t seed : {7u, 42u, 1234u}) {
-        const Result aggressive = runOnce("dd:gc=1,gcthreshold=1", ideal,
-                                          Sample{256}, seed);
-        const Result off = runOnce("dd:gc=0", ideal, Sample{256}, seed);
+        const Result aggressive =
+            runOnce("dd:gcthreshold=1", ideal, Sample{256}, seed);
+        const Result off = runOnce(kNeverCollect, ideal, Sample{256}, seed);
         EXPECT_EQ(aggressive.samples, off.samples) << "ideal seed=" << seed;
 
-        const Result aggressiveNoisy = runOnce("dd:gc=1,gcthreshold=1", noisy,
-                                               Sample{128}, seed);
-        const Result offNoisy = runOnce("dd:gc=0", noisy, Sample{128}, seed);
+        const Result aggressiveNoisy =
+            runOnce("dd:gcthreshold=1", noisy, Sample{128}, seed);
+        const Result offNoisy =
+            runOnce(kNeverCollect, noisy, Sample{128}, seed);
         EXPECT_EQ(aggressiveNoisy.samples, offNoisy.samples)
             << "noisy seed=" << seed;
         EXPECT_GT(aggressiveNoisy.meta.ddMemory.gcRuns, 0u);
+        EXPECT_EQ(offNoisy.meta.ddMemory.gcRuns, 0u);
     }
 }
 
@@ -258,8 +259,8 @@ TEST(DdGcTest, ExpectationMatchesAcrossLifecycles)
     h.add(0.5, PauliString("ZZIII"))
         .add(-0.25, PauliString("IXXII"))
         .add(1.5, PauliString("IIIYZ"));
-    const Result a = runOnce("dd:gc=1,gcthreshold=1", c, Expectation{h}, 3);
-    const Result b = runOnce("dd:gc=0", c, Expectation{h}, 3);
+    const Result a = runOnce("dd:gcthreshold=1", c, Expectation{h}, 3);
+    const Result b = runOnce(kNeverCollect, c, Expectation{h}, 3);
     EXPECT_TRUE(a.meta.exact);
     EXPECT_NEAR(a.expectation, b.expectation, 1e-12);
 }
@@ -269,7 +270,7 @@ TEST(DdGcTest, RebindKeepsOnePackageAndCollectsTheOldState)
     // The tentpole behavior: with GC on, a variational sweep reuses one
     // package — planReuses grows, live nodes stay bounded by one binding's
     // working set, and collections actually happen.
-    auto backend = makeBackend("dd:gc=1");
+    auto backend = makeBackend("dd");
     auto session = backend->open(layeredAnsatz(5, 0.0));
     Rng rng(9);
 
@@ -289,7 +290,7 @@ TEST(DdGcTest, RebindKeepsOnePackageAndCollectsTheOldState)
     // And the sweep is correct: last binding's distribution matches a
     // fresh session of the same circuit.
     const Result fresh =
-        runOnce("dd:gc=1", layeredAnsatz(5, 1.1), Probabilities{}, 9);
+        runOnce("dd", layeredAnsatz(5, 1.1), Probabilities{}, 9);
     ASSERT_EQ(last.probabilities.size(), fresh.probabilities.size());
     for (std::size_t k = 0; k < fresh.probabilities.size(); ++k)
         EXPECT_NEAR(last.probabilities[k], fresh.probabilities[k], 1e-12);
@@ -304,7 +305,7 @@ TEST(DdGcTest, LongNoisyRunKeepsLiveNodesBounded)
     const Circuit noisy =
         layeredAnsatz(4, 0.5).withNoiseAfterEachGate(NoiseKind::Depolarizing,
                                                      0.01);
-    auto backend = makeBackend("dd:gc=1,gcthreshold=256");
+    auto backend = makeBackend("dd:gcthreshold=256");
     auto session = backend->open(noisy);
     Rng rng(21);
     const Result r = session->run(Sample{5000}, rng);

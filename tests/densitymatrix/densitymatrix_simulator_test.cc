@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "algorithms/algorithms.h"
 #include "statevector/statevector_simulator.h"
 #include "util/stats.h"
+#include "vqa/simulator_api.h"
 
 namespace qkc {
 namespace {
@@ -127,6 +130,37 @@ TEST(DmExecutionPlanTest, UnfusedPlanAlsoRebinds)
     const Circuit next = parameterized(0.9, -0.4);
     ASSERT_TRUE(tryRebindDmPlan(plan, next));
     expectSameRho(sim.simulatePlanned(plan), sim.simulate(next));
+}
+
+TEST(DensityMatrixSessionTest, OneKernelPerChannelTwoPerGate)
+{
+    // A gate is a row and a column kernel; a channel is one Liouville
+    // kernel however many Kraus operators it has (4 for depolarizing, 16
+    // for two-qubit depolarizing). The kernel-class counters of the task
+    // profile count every sweep.
+    Circuit c(4);
+    c.h(0).cnot(0, 1).rz(2, 0.4).zz(1, 3, 0.7).rx(3, 1.1);
+    c.append(NoiseChannel::depolarizing(0, 0.05));
+    c.append(NoiseChannel::amplitudeDamping(2, 0.1));
+    c.append(NoiseChannel::twoQubitDepolarizing(1, 3, 0.02));
+    c.cnot(2, 3);
+    c.append(NoiseChannel::bitFlip(3, 0.03));
+    std::uint64_t gates = 0;
+    std::uint64_t channels = 0;
+    for (const Operation& op : c.operations())
+        ++(std::holds_alternative<Gate>(op) ? gates : channels);
+
+    auto session = makeBackend("dm:fuse=0,obs=1,threads=1")->open(c);
+    Rng rng(3);
+    const Result r = session->run(Sample{8}, rng);
+    std::uint64_t sweeps = 0;
+    for (const obs::CounterDelta& d : r.meta.profile.counters)
+        for (const char* cls : {"identity", "globalPhase", "diag", "perm",
+                                "generic"})
+            if (std::strcmp(d.name, (std::string("exec.kernel.") + cls)
+                                        .c_str()) == 0)
+                sweeps += d.delta;
+    EXPECT_EQ(sweeps, 2 * gates + channels);
 }
 
 TEST(DensityMatrixSimulatorTest, SamplesFollowDiagonal)

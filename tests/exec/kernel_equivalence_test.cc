@@ -16,6 +16,7 @@
 #include "circuit/noise.h"
 #include "exec/simd.h"
 #include "statevector/statevector_simulator.h"
+#include "testing/test_circuits.h"
 #include "util/rng.h"
 
 namespace qkc {
@@ -146,6 +147,24 @@ TEST(KernelClassificationTest, KrausOperatorsClassifyToo)
               "perm");
 }
 
+TEST(KernelClassificationTest, ArityIsOneToFourBits)
+{
+    EXPECT_THROW(compileKernel(Matrix::identity(1), {}),
+                 std::invalid_argument);
+    EXPECT_THROW(compileKernel(Matrix::identity(32), {0, 1, 2, 3, 4}),
+                 std::invalid_argument);
+    EXPECT_EQ(compileKernel(Matrix::identity(16), {0, 1, 2, 3}).arity, 4u);
+
+    const auto ops = testing::fourBitOperators();
+    const std::vector<std::uint32_t> bits = {7, 2, 5, 0};
+    EXPECT_EQ(std::string(compileKernel(ops[0], bits).className()),
+              "generic");
+    EXPECT_EQ(std::string(compileKernel(ops[1], bits).className()),
+              "generic");
+    EXPECT_EQ(std::string(compileKernel(ops[2], bits).className()), "diag");
+    EXPECT_EQ(std::string(compileKernel(ops[3], bits).className()), "perm");
+}
+
 TEST(KernelEquivalenceTest, EveryGateKindMatchesReference)
 {
     const std::size_t n = 6;
@@ -218,6 +237,17 @@ TEST(KernelEquivalenceTest, KrausOperatorsMatchReference)
         for (const Matrix& e : ch.krausOperators())
             expectMatchesReference(e, ch.qubits(), n, seed++);
     }
+}
+
+TEST(KernelEquivalenceTest, FourBitSuperoperatorsMatchReference)
+{
+    const std::size_t n = 7;
+    std::uint64_t seed = 1300;
+    const std::vector<std::vector<std::size_t>> placements = {
+        {0, 3, 1, 5}, {6, 5, 4, 3}, {0, 1, 2, 3}, {4, 0, 6, 2}};
+    for (const Matrix& m : testing::fourBitOperators())
+        for (const auto& qubits : placements)
+            expectMatchesReference(m, qubits, n, seed++);
 }
 
 TEST(KernelEquivalenceTest, PreScaleFoldsIntoOnePass)

@@ -18,6 +18,7 @@
 #include "circuit/gate.h"
 #include "exec/simd.h"
 #include "linalg/aligned.h"
+#include "testing/test_circuits.h"
 #include "util/rng.h"
 
 namespace qkc {
@@ -197,6 +198,17 @@ TEST(SimdParityTest, OddControlMasksAreBitIdentical)
         SCOPED_TRACE(g.name());
         expectBitParity(kernelFor(g, n), n, seed++);
     }
+}
+
+TEST(SimdParityTest, FourBitSuperoperatorsAreBitIdentical)
+{
+    const std::size_t n = 9;
+    std::uint64_t seed = 6500;
+    const std::vector<std::vector<std::size_t>> placements = {
+        {0, 4, 1, 5}, {8, 7, 6, 5}, {0, 1, 2, 3}, {6, 0, 8, 2}};
+    for (const Matrix& m : testing::fourBitOperators())
+        for (const auto& qubits : placements)
+            expectBitParity(compileKernel(m, bitsFor(qubits, n)), n, seed++);
 }
 
 TEST(SimdParityTest, RandomizedCircuitsAreBitIdenticalEndToEnd)

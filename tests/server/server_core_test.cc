@@ -81,6 +81,7 @@ TEST(ServerCoreTest, TasksRoundTrip)
         "POST", "/v1/run", bellBody(",\"task\":\"probabilities\""));
     ASSERT_EQ(probs.status, 200) << probs.body;
     const Json probsDoc = parse(probs);
+    EXPECT_EQ(probsDoc.find("task")->asString(), "probabilities");
     const Json& p = *probsDoc.find("results")->at(0).find("probabilities");
     ASSERT_EQ(p.size(), 4u);
     EXPECT_NEAR(p.at(0).asDouble(), 0.5, 1e-12);
@@ -91,6 +92,7 @@ TEST(ServerCoreTest, TasksRoundTrip)
         bellBody(",\"task\":\"amplitudes\",\"bitstrings\":[0,3]"));
     ASSERT_EQ(amps.status, 200) << amps.body;
     const Json ampsDoc = parse(amps);
+    EXPECT_EQ(ampsDoc.find("task")->asString(), "amplitudes");
     const Json& a = *ampsDoc.find("results")->at(0).find("amplitudes");
     ASSERT_EQ(a.size(), 2u);
     EXPECT_NEAR(a.at(0).at(0).asDouble(), 0.70710678118, 1e-9);
@@ -100,9 +102,26 @@ TEST(ServerCoreTest, TasksRoundTrip)
         bellBody(",\"task\":\"expectation\",\"observable\":[[1.0,\"ZZ\"]]"));
     ASSERT_EQ(expv.status, 200) << expv.body;
     const Json expvDoc = parse(expv);
+    EXPECT_EQ(expvDoc.find("task")->asString(), "expectation");
     EXPECT_NEAR(
         expvDoc.find("results")->at(0).find("expectation")->asDouble(), 1.0,
         1e-12);
+
+    const HttpResult sample = core.handle(
+        "POST", "/v1/run", bellBody(",\"task\":\"sample\",\"shots\":4"));
+    ASSERT_EQ(sample.status, 200) << sample.body;
+    const Json sampleDoc = parse(sample);
+    EXPECT_EQ(sampleDoc.find("task")->asString(), "sample");
+    EXPECT_EQ(sampleDoc.find("results")->at(0).find("samples")->size(), 4u);
+
+    // An unknown task name is refused with the names the server accepts.
+    const HttpResult unknown =
+        core.handle("POST", "/v1/run", bellBody(",\"task\":\"samples\""));
+    EXPECT_EQ(unknown.status, 400);
+    EXPECT_NE(unknown.body.find("sample, expectation, amplitudes, "
+                                "probabilities"),
+              std::string::npos)
+        << unknown.body;
 }
 
 TEST(ServerCoreTest, MultiBindingParams)

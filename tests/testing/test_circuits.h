@@ -2,6 +2,7 @@
 #define QKC_TESTS_TESTING_TEST_CIRCUITS_H
 
 #include <cmath>
+#include <vector>
 
 #include "circuit/circuit.h"
 #include "util/rng.h"
@@ -114,6 +115,49 @@ ringQaoaCircuit(std::size_t numQubits, double gamma, double beta)
     for (std::size_t i = 0; i < numQubits; ++i)
         c.rx(i, 2.0 * beta);
     return c;
+}
+
+/** sum_k E_k (x) conj(E_k): the channel's action on flattened rho. */
+inline Matrix
+liouville(const std::vector<Matrix>& kraus)
+{
+    Matrix s = Matrix::zero(kraus[0].rows() * kraus[0].rows(),
+                            kraus[0].cols() * kraus[0].cols());
+    for (const Matrix& e : kraus) {
+        Matrix conj(e.rows(), e.cols());
+        for (std::size_t r = 0; r < e.rows(); ++r)
+            for (std::size_t c = 0; c < e.cols(); ++c)
+                conj(r, c) = std::conj(e(r, c));
+        s = s + e.kron(conj);
+    }
+    return s;
+}
+
+/**
+ * Four-bit kernel inputs, as a density matrix produces them for two-qubit
+ * channels: a random dense 16x16 and the Liouville forms of two-qubit
+ * depolarizing (generic), a two-qubit ZZ phase flip (diag) and an XY Pauli
+ * conjugation (perm).
+ */
+inline std::vector<Matrix>
+fourBitOperators()
+{
+    Rng rng(1616);
+    Matrix random(16, 16);
+    for (std::size_t r = 0; r < 16; ++r)
+        for (std::size_t c = 0; c < 16; ++c)
+            random(r, c) = Complex(rng.uniform(-1, 1), rng.uniform(-1, 1));
+    const Matrix zz = Gate(GateKind::Z, {0}).unitary().kron(
+        Gate(GateKind::Z, {0}).unitary());
+    const Matrix xy = Gate(GateKind::X, {0}).unitary().kron(
+        Gate(GateKind::Y, {0}).unitary());
+    const double p = 0.15;
+    return {random,
+            liouville(NoiseChannel::twoQubitDepolarizing(0, 1, 0.2)
+                          .krausOperators()),
+            liouville({Matrix::identity(4) * Complex(std::sqrt(1 - p)),
+                       zz * Complex(std::sqrt(p))}),
+            liouville({xy})};
 }
 
 } // namespace qkc::testing

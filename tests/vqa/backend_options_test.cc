@@ -34,23 +34,27 @@ TEST(BackendOptionsTest, OptionSpecsResolveToCanonicalBackends)
 
 TEST(BackendOptionsTest, DdGcOptionsParse)
 {
-    BackendSpec spec = parseBackendSpec("dd:gc=0");
+    BackendSpec spec = parseBackendSpec("dd:gcthreshold=4096");
     EXPECT_EQ(spec.name, "decisiondiagram");
-    EXPECT_FALSE(spec.options.gc);
-
-    spec = parseBackendSpec("dd:gc=1,gcthreshold=4096");
-    EXPECT_TRUE(spec.options.gc);
     EXPECT_EQ(spec.options.gcThreshold, 4096u);
 
-    // Defaults: GC on, the package's documented threshold.
+    // Default: the package's documented threshold.
     spec = parseBackendSpec("dd");
-    EXPECT_TRUE(spec.options.gc);
     EXPECT_EQ(spec.options.gcThreshold, std::size_t{1} << 16);
 
-    EXPECT_THROW(makeBackend("dd:gc=2"), std::invalid_argument);
+    // The collector is always on: gc is an unknown option everywhere.
+    for (const char* spec : {"dd:gc=0", "dd:gc=1", "dd:gc=2", "sv:gc=1"}) {
+        try {
+            makeBackend(spec);
+            ADD_FAILURE() << spec << " parsed";
+        } catch (const std::invalid_argument& e) {
+            EXPECT_NE(std::string(e.what()).find("unknown option \"gc\""),
+                      std::string::npos)
+                << e.what();
+        }
+    }
     EXPECT_THROW(makeBackend("dd:gcthreshold=0"), std::invalid_argument);
-    // gc is a dd-only knob: the other backends must reject it.
-    EXPECT_THROW(makeBackend("sv:gc=1"), std::invalid_argument);
+    // gcthreshold is a dd-only knob: the other backends must reject it.
     EXPECT_THROW(makeBackend("tn:gcthreshold=8"), std::invalid_argument);
 }
 
